@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sampling
 from .curvature import ScalarField, extremality_check
-from .errors import BadParams, ParseError, ToricError, UnknownName
+from .errors import BadMargin, BadParams, ParseError, ToricError, UnknownName
 from .polytope import (
     DelzantPolytope,
     catalog,
@@ -157,10 +157,16 @@ def _emit_json(doc: dict, args) -> None:
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args)
 
 
+def _csv_cell(c) -> str:
+    if isinstance(c, (int, np.integer)):  # bools too, as 1 / 0
+        return str(int(c))
+    return repr(float(c)) if isinstance(c, (float, np.floating)) else str(c)
+
+
 def _csv_rows(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(float(c)) if isinstance(c, (int, float, np.floating)) else str(c) for c in row))
+        lines.append(",".join(_csv_cell(c) for c in row))
     return "\n".join(lines) + "\n"
 
 
@@ -342,7 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownName, BadParams) as e:
+    except (ParseError, UnknownName, BadParams, BadMargin) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ToricError as e:

@@ -66,8 +66,12 @@ class NotFano(ToricError):
     """Normal fan does not define a smooth Fano polytope."""
 
 
+class BadMargin(ToricError, ValueError):
+    """A sampling margin leaves no interior point to sample."""
+
+
 class QuadratureNotConverged(ToricError):
-    """Refinement disagrees with the base quadrature beyond tolerance."""
+    """A closed-form moment is not finite: e^{<a,x>} overflows double precision."""
 
 
 class MaxIterations(ToricError):

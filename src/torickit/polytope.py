@@ -513,17 +513,20 @@ def polytope_from_json(doc) -> DelzantPolytope:
         raw_forms = doc["forms"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"missing polytope field: {e}") from e
-    if not isinstance(n, int) or n < 1:
+    # type(...) is int: JSON integers only, so neither true nor 1.7 nor 1.0
+    if type(n) is not int or n < 1:
         raise ParseError(f"bad dimension {n!r}")
     if not isinstance(raw_forms, list) or not raw_forms:
         raise ParseError("forms must be a nonempty list")
     forms = []
     for i, rf in enumerate(raw_forms):
         try:
-            u = tuple(int(c) for c in rf["u"])
+            u = tuple(rf["u"])
+            if any(type(c) is not int for c in u):
+                raise ParseError(f"form {i}: normal entries must be integers, got {list(u)!r}")
             if len(u) != n:
                 raise ParseError(f"form {i}: normal has {len(u)} entries, expected {n}")
-            b = exact.frac(rf["b"]) if isinstance(rf["b"], (str, int)) else None
+            b = exact.frac(rf["b"]) if type(rf["b"]) in (str, int) else None
             if b is None:
                 raise ParseError(f"form {i}: offset must be an int or 'p/q' string")
             forms.append(AffineForm(u=u, b=b))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BadMargin
 from .polytope import DelzantPolytope, VertexData
 
 DEFAULT_MARGIN_FACTOR = 1e-3
@@ -44,7 +45,7 @@ def interior_grid(p: DelzantPolytope, per_axis: int, margin: float | None = None
     keep = interior_distance(p, pts) >= margin
     pts = pts[keep]
     if not len(pts):
-        raise ValueError("margin leaves no interior grid points")
+        raise BadMargin(f"margin {margin} leaves no interior grid points")
     return pts
 
 
@@ -70,7 +71,7 @@ def random_interior_points(
         have += take
         if have == count:
             return out
-    raise RuntimeError("rejection sampling failed to fill the request")
+    raise BadMargin(f"margin {margin} leaves {have} of {count} random points after 10000 batches")
 
 
 def geometric_ts(t0: float = 1e-2, count: int = 15) -> np.ndarray:

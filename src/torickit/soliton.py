@@ -16,12 +16,11 @@ field vanishes and the metric is Einstein.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cached_property
+from math import ceil, factorial, inf, log2
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .polytope import (
 )
 from .potential import SymplecticPotential, metric_jet
 
-QUADRATURE_ORDER = 20
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 
@@ -101,52 +99,41 @@ def exact_volume(p: DelzantPolytope) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# exponential moments in closed form
 
-@lru_cache(maxsize=None)
-def _duffy_rule(n: int, order: int):
-    """Tensor Gauss-Legendre rule collapsed onto the reference simplex."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    xi = 0.5 * (nodes + 1.0)
-    wi = 0.5 * weights
-    grids = np.meshgrid(*([xi] * n), indexing="ij")
-    wgrids = np.meshgrid(*([wi] * n), indexing="ij")
-    pts = np.empty((order**n, n))
-    w = np.ones(order**n)
-    remaining = np.ones(order**n)
-    for i in range(n):
-        gi = grids[i].ravel()
-        pts[:, i] = gi * remaining
-        w *= wgrids[i].ravel() * (1.0 - gi) ** (n - 1 - i)
-        remaining = remaining * (1.0 - gi)
-    return pts, w
+def _exp_divided_differences(nodes: np.ndarray) -> np.ndarray:
+    """exp[d_0, ..., d_m] for every row d of `nodes`; nodes may repeat.
 
-
-def _simplex_nodes(simplex, order: int):
-    """Mapped quadrature nodes and weights for one exact simplex."""
-    n = len(simplex) - 1
-    v0 = np.array([float(c) for c in simplex[0]])
-    edges = np.array(
-        [[float(c - b) for c, b in zip(v, simplex[0])] for v in simplex[1:]]
-    ).T
-    s, w = _duffy_rule(n, order)
-    jac = abs(float(np.linalg.det(edges)))
-    return v0[None, :] + s @ edges.T, w * jac
-
-
-def _bisect_simplex(simplex):
-    """Split across the longest edge (ties broken lexicographically)."""
-    best = None
-    for i, j in itertools.combinations(range(len(simplex)), 2):
-        d = [a - b for a, b in zip(simplex[i], simplex[j])]
-        length = sum(c * c for c in d)
-        if best is None or length > best[0]:
-            best = (length, i, j)
-    _, i, j = best
-    mid = tuple((a + b) / 2 for a, b in zip(simplex[i], simplex[j]))
-    left = tuple(mid if k == i else v for k, v in enumerate(simplex))
-    right = tuple(mid if k == j else v for k, v in enumerate(simplex))
-    return left, right
+    It is the top-right entry of exp(Z) for Z bidiagonal with d on the
+    diagonal and ones above it (McCurdy, Ng and Parlett 1984).  Each row
+    is shifted by its smallest node, so every entry of Z is nonnegative
+    and neither the Taylor sum nor the squarings cancel anything.
+    """
+    rows, m = nodes.shape
+    low = nodes.min(axis=1)
+    spread = float(np.max(nodes.max(axis=1) - low))
+    # scale until no diagonal entry exceeds 1; the Taylor remainder of
+    # the top-right entry is then below 1/18!, about one rounding unit
+    squarings = ceil(log2(spread)) if 1.0 < spread < inf else 0
+    h = 2.0**-squarings
+    z = np.zeros((rows, m * m))
+    z[:, :: m + 1] = (nodes - low[:, None]) * h
+    z[:, 1 :: m + 1] = h
+    z = z.reshape(rows, m, m)
+    # Taylor sum to degree >= m + 16, Paterson-Stockmeyer: blocks in z^0..z^4, Horner in z^5
+    powers = [np.broadcast_to(np.eye(m), z.shape), z]
+    for _ in range(4):
+        powers.append(powers[-1] @ z)
+    count = 5 * -(-(m + 17) // 5)
+    inverse_factorials = np.cumprod(1.0 / np.maximum(np.arange(count), 1)).reshape(-1, 5)
+    blocks = np.tensordot(inverse_factorials, np.stack(powers[:5]), 1)
+    e = blocks[-1]
+    for block in blocks[-2::-1]:
+        e = block + powers[5] @ e
+    e *= np.exp(low * h)[:, None, None]
+    for _ in range(squarings):
+        e = e @ e
+    return e[:, 0, -1]
 
 
 class FanoPolytope:
@@ -154,7 +141,6 @@ class FanoPolytope:
 
     def __init__(self, base: DelzantPolytope):
         self.base = base
-        self._node_cache: dict[bool, list] = {}
 
     @property
     def n(self) -> int:
@@ -164,17 +150,15 @@ class FanoPolytope:
     def vertices(self):
         return self.base.vertices
 
-    def _nodes(self, refined: bool):
-        got = self._node_cache.get(refined)
-        if got is None:
-            simplices = triangulate(self.base)
-            if refined:
-                simplices = tuple(
-                    child for s in simplices for child in _bisect_simplex(s)
-                )
-            got = [_simplex_nodes(s, QUADRATURE_ORDER) for s in simplices]
-            self._node_cache[refined] = got
-        return got
+    @cached_property
+    def _cells(self):
+        """Float triangulation for _moments: per simplex and vertex pair k <= l,
+        h_k = (1, v_k), h_l and nodes (v_k, v_0..v_n, v_l); n! vol per simplex."""
+        simplices = triangulate(self.base)
+        h = np.array([[(1.0, *map(float, v)) for v in s] for s in simplices])
+        k, l = np.triu_indices(self.n + 1)
+        nodes = np.column_stack([k, np.tile(np.arange(self.n + 1), (len(k), 1)), l])
+        return h[:, k], h[:, l], h[:, nodes, 1:], np.abs(np.linalg.det(h))
 
     def to_json(self) -> dict:
         return self.base.to_json()
@@ -213,27 +197,33 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
 # ---------------------------------------------------------------------------
 # integrals and the soliton vector
 
-def _moments(fp: FanoPolytope, a: np.ndarray, order: int, refined: bool):
-    """(integral e^{<a,x>}, integral x e, integral x x^T e) up to `order`."""
-    m0_parts, m1_parts, m2_parts = [], [], []
-    for pts, w in fp._nodes(refined):
-        ew = np.exp(pts @ a) * w
-        m0_parts.append(ew.sum())
-        if order >= 1:
-            m1_parts.append(pts.T @ ew)
-        if order >= 2:
-            m2_parts.append(np.einsum("qi,qj,q->ij", pts, pts, ew))
-    m0 = float(np.sum(m0_parts))
-    m1 = np.sum(m1_parts, axis=0) if order >= 1 else None
-    m2 = np.sum(m2_parts, axis=0) if order >= 2 else None
-    return m0, m1, m2
+def _moments(fp: FanoPolytope, a: np.ndarray):
+    """(integral e^{<a,x>}, integral x e, integral x x^T e) in closed form.
+
+    On a simplex S with vertices v_k, barycentric coordinates beta_k and
+    t_k = <a, v_k>, the Hermite-Genocchi formula gives
+
+        integral_S beta_k beta_l e^{<a,x>} = n! vol(S) (1 + [k = l]) exp[t_0..t_n, t_k, t_l]
+
+    (Baldoni, Berline, De Loera, Koppe and Vergne, arXiv:0809.2083).  As
+    sum_k beta_k (1, v_k) = (1, x), these times h_k h_l^T sum to all three
+    moments.  Raises QuadratureNotConverged on overflow.
+    """
+    hk, hl, nodes, weights = fp._cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        dd = _exp_divided_differences((nodes @ a).reshape(-1, fp.n + 3))
+        half = np.einsum("sp,spi,spj->ij", weights[:, None] * dd.reshape(len(weights), -1), hk, hl)
+        full = half + half.T
+    if not np.all(np.isfinite(full)):
+        raise QuadratureNotConverged(f"moments of e^<a,x> overflow at a = {a.tolist()}")
+    return float(full[0, 0]), full[1:, 0], full[1:, 1:]
 
 
-def polytope_integral(fp: FanoPolytope, a, integrand: str = "1", rtol: float = 1e-9):
+def polytope_integral(fp: FanoPolytope, a, integrand: str = "1"):
     """Integral of {1, x, x x^T}[integrand] * e^{<a, x>} over the polytope.
 
-    A second estimate on uniformly bisected simplices serves as the
-    error control; disagreement beyond rtol raises QuadratureNotConverged.
+    The integral is exact up to rounding (see _moments); a weight that
+    overflows double precision raises QuadratureNotConverged.
     """
     if isinstance(fp, DelzantPolytope):
         fp = FanoPolytope(fp)
@@ -241,15 +231,7 @@ def polytope_integral(fp: FanoPolytope, a, integrand: str = "1", rtol: float = 1
     order = {"1": 0, "x": 1, "xx": 2}.get(integrand)
     if order is None:
         raise ValueError(f"unknown integrand {integrand!r}")
-    base = _moments(fp, a, order, refined=False)[order]
-    check = _moments(fp, a, order, refined=True)[order]
-    err = float(np.max(np.abs(np.asarray(base) - np.asarray(check))))
-    scale = max(1.0, float(np.max(np.abs(np.asarray(base)))))
-    if err > rtol * scale:
-        raise QuadratureNotConverged(
-            f"refinement changed the integral by {err:.3e} (rtol {rtol:.1e})"
-        )
-    return base
+    return _moments(fp, a)[order]
 
 
 @dataclass(frozen=True)
@@ -272,26 +254,25 @@ def soliton_vector(
     """Damped Newton minimisation of F(a) = integral e^{<a,x>} dx.
 
     The gradient is the weighted barycenter integral x e^{<a,x>}, the
-    Hessian integral x x^T e^{<a,x>} is positive definite, so Newton
-    steps with Armijo backtracking converge from a = 0.
+    Hessian integral x x^T e^{<a,x>} is positive definite, so Newton steps
+    backtracking on |grad F| converge from a = 0 (not on F: near the
+    minimum F changes by less than its rounding).
     """
     a = np.zeros(fp.n)
-    f0, grad, hess = _moments(fp, a, 2, refined=False)
+    _, grad, hess = _moments(fp, a)
     for iteration in range(max_iterations):
         residual = float(np.linalg.norm(grad))
         if residual <= tol:
             return SolitonData(a=a, gradient_residual=residual, iterations=iteration)
         direction = np.linalg.solve(hess, -grad)
-        slope = float(grad @ direction)
         step = 1.0
-        while step > 1e-14:
+        while True:
             trial = a + step * direction
-            f_trial = _moments(fp, trial, 0, refined=False)[0]
-            if f_trial <= f0 + 1e-4 * step * slope:
+            _, trial_grad, trial_hess = _moments(fp, trial)
+            if np.linalg.norm(trial_grad) <= (1.0 - 1e-4 * step) * residual or step <= 1e-14:
                 break
             step *= 0.5
-        a = a + step * direction
-        f0, grad, hess = _moments(fp, a, 2, refined=False)
+        a, grad, hess = trial, trial_grad, trial_hess
     raise MaxIterations(
         f"Newton solver stalled at residual {float(np.linalg.norm(grad)):.3e} "
         f"after {max_iterations} iterations"

@@ -58,6 +58,11 @@ class TestDelzant:
         assert rc == 0
         assert lines[0] == "x_1,x_2,facet_count,edge_count,edge_det,delzant"
         assert len(lines) == 1 + 4
+        for line in lines[1:]:
+            # integer columns print as integers that float() still reads
+            counts = [int(c) for c in line.split(",")[2:]]
+            assert counts in ([2, 2, 1, 1], [2, 2, -1, 1])
+            assert [float(c) for c in line.split(",")[2:]] == counts
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -94,6 +99,23 @@ class TestDelzant:
         rc, _, err = run(capsys, "delzant")
         assert rc == 2
         assert "required" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "forms": [{"u": [1.7, 0], "b": "0"}, {"u": [0, 1], "b": "0"},
+                               {"u": [-1, -1], "b": "-1"}]},
+            {"n": True, "forms": [{"u": [1], "b": "0"}, {"u": [-1], "b": "-1"}]},
+        ],
+        ids=["float_normal", "bool_dimension"],
+    )
+    def test_non_integer_input_is_rejected(self, capsys, tmp_path, doc):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "delzant", "--input", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestCurvature:
@@ -162,6 +184,18 @@ class TestCurvature:
         rc, _, err = run(capsys, "curvature", "--catalog", "cube(2)", "--grid", "1")
         assert rc == 2
         assert "grid" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--margin", "5"], ["--random", "5", "--margin", "0.4"]],
+        ids=["grid", "random"],
+    )
+    def test_margin_beyond_the_inradius(self, capsys, flags):
+        # the inradius of simplex(2) is about 0.29
+        rc, out, err = run(capsys, "curvature", "--catalog", "simplex(2)", *flags)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "margin" in err
 
     def test_negative_tolerance(self, capsys):
         rc, _, _ = run(capsys, "curvature", "--catalog", "cube(2)", "--tol", "-1")

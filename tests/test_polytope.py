@@ -274,6 +274,14 @@ class TestJson:
             {"n": 2, "forms": [{"u": [1], "b": "0"}]},
             {"n": 1, "forms": [{"u": [1], "b": 0.25}, {"u": [-1], "b": "-1"}]},
             {"n": 1, "forms": [{"u": [1]}, {"u": [-1], "b": "-1"}]},
+            # non-integers: never truncated by int(), never read as 1
+            {"n": 2, "forms": [{"u": [1.7, 0], "b": "0"}, {"u": [0, 1], "b": "0"},
+                               {"u": [-1, -1], "b": "-1"}]},
+            {"n": 1, "forms": [{"u": [1.0], "b": "0"}, {"u": [-1], "b": "-1"}]},
+            {"n": 1, "forms": [{"u": [True], "b": "0"}, {"u": [-1], "b": "-1"}]},
+            {"n": 1, "forms": [{"u": [1], "b": False}, {"u": [-1], "b": "-1"}]},
+            {"n": True, "forms": [{"u": [1], "b": "0"}, {"u": [-1], "b": "-1"}]},
+            {"n": 1.0, "forms": [{"u": [1], "b": "0"}, {"u": [-1], "b": "-1"}]},
         ]:
             with pytest.raises(ParseError):
                 polytope_from_json(doc)

@@ -5,7 +5,9 @@ quadrature plus bisection, see oracles.py) and pinned here so drift in the
 package's own quadrature or Newton path shows up as a failure.
 """
 
+import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +58,21 @@ EXACT_VOLUMES = {
     ("blowup_cp2", (2,)): F(7, 2),
     ("blowup_cp2", (3,)): F(3),
 }
+
+
+def _interval_moments(t):
+    """Integrals of e^{tx}, x e^{tx}, x^2 e^{tx} over [-1, 1], in closed
+    form at 40 digits (in double precision they cancel for small t)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        t = mpmath.mpf(float(t))
+        s, c = mpmath.sinh(t), mpmath.cosh(t)
+        return [
+            float(2 * s / t),
+            float(2 * (t * c - s) / t**2),
+            float(2 * ((t * t + 2) * s - 2 * t * c) / t**3),
+        ]
 
 
 class TestTriangulation:
@@ -135,15 +152,31 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             polytope_integral(fp, [0.0, 0.0], "xxx")
 
-    def test_violent_weight_fails_loudly(self):
+    def test_violent_weight_is_exact(self):
         fp = fano_normalize(catalog("cube", 2))
-        with pytest.raises(QuadratureNotConverged, match="refinement"):
-            polytope_integral(fp, [50.0, 0.0], "1")
+        want = 4.0 * np.sinh(50.0) / 50.0
+        assert polytope_integral(fp, [50.0, 0.0], "1") == pytest.approx(want, rel=1e-13)
 
-    def test_tight_rtol_fails_loudly(self):
+    def test_overflow_fails_loudly(self):
         fp = fano_normalize(catalog("cube", 2))
-        with pytest.raises(QuadratureNotConverged):
-            polytope_integral(fp, [3.0, 0.0], "1", rtol=1e-16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureNotConverged, match="overflow"):
+                polytope_integral(fp, [800.0, 0.0], "1")
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cube_moments_match_product_closed_forms(self, n):
+        # the model is [-1, 1]^n, so every moment factors over the axes
+        fp = fano_normalize(catalog("cube", n))
+        a = np.random.default_rng(20 + n).uniform(-2.0, 2.0, n)
+        i0, i1, i2 = np.array([_interval_moments(t) for t in a]).T
+        m0 = np.prod(i0)
+        m1 = m0 * i1 / i0
+        m2 = np.outer(m1, m1) / m0
+        np.fill_diagonal(m2, m0 * i2 / i0)
+        assert polytope_integral(fp, a, "1") == pytest.approx(m0, rel=1e-13)
+        assert np.allclose(polytope_integral(fp, a, "x"), m1, rtol=0, atol=1e-13 * m0)
+        assert np.allclose(polytope_integral(fp, a, "xx"), m2, rtol=0, atol=1e-13 * m0)
 
 
 class TestFanoNormalize:
@@ -263,6 +296,21 @@ class TestSolitonVector:
             second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
             assert np.all(second >= -1e-10)  # convex along every line
             assert vals[3] <= vals.min() + 1e-12  # centered at the minimizer
+
+    def test_sheared_two_point_blowup_images_converge(self):
+        # every signed permutation of Bl_2 P^2 sheared by [[1, 1], [0, 1]]
+        # reaches the tolerance in the same four Newton steps
+        shear = UnimodularMap(((1, 1), (0, 1)), (F(0), F(0)))
+        base = shear.apply_polytope(catalog("blowup_cp2", 2))
+        for perm in itertools.permutations(range(2)):
+            for signs in itertools.product((1, -1), repeat=2):
+                rows = tuple(
+                    tuple(signs[i] * int(perm[i] == j) for j in range(2)) for i in range(2)
+                )
+                p = UnimodularMap(rows, (F(0), F(0))).apply_polytope(base)
+                data = soliton_vector(fano_normalize(p))
+                assert data.iterations == 4
+                assert data.gradient_residual <= 1e-10
 
     def test_iteration_cap(self):
         fp = fano_normalize(catalog("blowup_cp2", 1))
