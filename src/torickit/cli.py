@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sampling
-from .curvature import ScalarField, extremality_check
+from .curvature import ScalarField, extremality_from_samples, scalar_curvatures
 from .errors import BadMargin, BadParams, ParseError, ToricError, UnknownName
 from .polytope import (
     DelzantPolytope,
@@ -78,11 +79,13 @@ def _config_from_args(args) -> RunConfig:
     if grid < 3:
         raise ParseError(f"grid resolution must be at least 3 per axis, got {grid}")
     tol = getattr(args, "tol", None)
-    if tol is not None and tol <= 0:
-        raise ParseError(f"tolerance must be positive, got {tol}")
+    if tol is not None and not (0 < tol < math.inf):
+        raise ParseError(f"tolerance must be positive and finite, got {tol}")
     margin = getattr(args, "margin", None)
-    if margin is not None and margin <= 0:
-        raise ParseError(f"margin must be positive, got {margin}")
+    if margin is not None and not (0 < margin < math.inf):
+        raise ParseError(f"margin must be positive and finite, got {margin}")
+    if getattr(args, "random", 0) < 0:
+        raise ParseError(f"--random needs a point count >= 0, got {args.random}")
     return RunConfig(
         command=args.command,
         input=getattr(args, "input", None),
@@ -208,10 +211,14 @@ def cmd_curvature(args) -> int:
         )
     else:
         pts = sampling.interior_grid(pot.polytope, config.grid, config.margin)
-    values = np.array([field(x) for x in pts])
-    is_extremal, fit = extremality_check(
-        pot, grid=config.grid, tol=config.tol, margin=config.margin
-    )
+    values = field.sample(pts)
+    # The affinity test always fits analytic curvature on the grid.
+    if getattr(args, "random", 0) or method != "analytic":
+        grid_pts = sampling.interior_grid(pot.polytope, config.grid, config.margin)
+        grid_values = scalar_curvatures(pot, grid_pts)
+    else:
+        grid_pts, grid_values = pts, values
+    is_extremal, fit = extremality_from_samples(grid_pts, grid_values, config.tol)
     if config.fmt == "csv":
         header = [f"x_{i + 1}" for i in range(pot.n)] + ["s"]
         body = _csv_rows(header, [list(map(float, x)) + [v] for x, v in zip(pts, values)])
@@ -270,6 +277,8 @@ def cmd_verify(args) -> int:
                 f"-a expects {pot.n} components for this polytope, got {len(args.a)}"
             )
         a = np.array(args.a, dtype=float)
+        if not np.all(np.isfinite(a)):
+            raise ParseError(f"-a components must be finite, got {args.a}")
     else:
         raise ParseError("one of -a or --from-soliton is required")
     verdict = verify_einstein(

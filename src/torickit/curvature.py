@@ -12,9 +12,17 @@ computed analytically from the metric jet via
                      - G^{-1} (d_k d_j G) G^{-1}
 
 or, as an independent route, by Richardson-extrapolated central
-differences of the entries of G^{-1}.  Canonical potentials give
-s = 4 on the unit interval, 12 on the unit simplex, 8 on the unit
-square; a metric is extremal exactly when s is an affine function.
+differences of the entries of G^{-1}.  Over many points
+(`scalar_curvatures`) the canonical potential (h = 0) uses Abreu's
+closed form in C = U G^{-1} U^T, the metric pairings of the normals,
+
+    s = sum_a C_aa^2 / lambda_a^3
+        - 1/4 sum_ab (C_ab^3 + C_aa C_ab C_bb) / (lambda_a lambda_b)^2,
+
+and a perturbed potential the jet formula above, both over batches from
+`metric_jets`.  Canonical potentials give s = 4 on the unit interval,
+12 on the unit simplex, 8 on the unit square; a metric is extremal
+exactly when s is an affine function.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 
 from . import sampling
 from .errors import DegenerateSampleSet
-from .potential import SymplecticPotential, metric_jet
+from .potential import MetricBatch, SymplecticPotential, metric_jet, metric_jets
 
 FD_STEP_FRACTION = 24.0       # step = interior distance / 24
 FD_MARGIN_FACTOR = 10.0       # require distance >= 10 * step
@@ -45,6 +53,34 @@ def scalar_curvature(pot: SymplecticPotential, x) -> float:
             a3 = gi @ d2g[k, j] @ gi
             total -= a1[j, k] + a2[j, k] - a3[j, k]
     return float(total)
+
+
+def _curvature_rows(pot: SymplecticPotential, b: MetricBatch) -> np.ndarray:
+    """Analytic scalar curvature at every row of a batch."""
+    gi = b.G_inv
+    if pot.h.is_zero:
+        u, lam = pot.polytope.normals_float, b.lam
+        c = u @ gi @ u.T
+        d = np.diagonal(c, axis1=1, axis2=2)
+        pair = (lam[:, :, None] * lam[:, None, :]) ** 2
+        cubic = (c**3 + d[:, :, None] * c * d[:, None, :]) / pair
+        return np.sum(d**2 / lam**3, axis=1) - 0.25 * np.sum(cubic, axis=(1, 2))
+    a = gi[:, None] @ b.dG @ gi[:, None]        # a[:, k] = G^-1 (d_k G) G^-1
+    return (
+        np.einsum("pjc,pkjcd,pdk->p", gi, b.d2G, gi)
+        - np.einsum("pkjc,pjcd,pdk->p", a, b.dG, gi)
+        - np.einsum("pjjc,pkcd,pdk->p", a, b.dG, gi)
+    )
+
+
+def _curvature_batches(pot: SymplecticPotential, points):
+    """Batches carrying what `_curvature_rows` needs."""
+    return metric_jets(pot, points, with_derivatives=not pot.h.is_zero)
+
+
+def scalar_curvatures(pot: SymplecticPotential, points) -> np.ndarray:
+    """Analytic scalar curvature at each row of `points`, in batches."""
+    return np.concatenate([_curvature_rows(pot, b) for b in _curvature_batches(pot, points)])
 
 
 def _ginv_entry_hessian(pot, x, h):
@@ -125,6 +161,12 @@ class ScalarField:
             return scalar_curvature(self.potential, x)
         return scalar_curvature_fd(self.potential, x)
 
+    def sample(self, points) -> np.ndarray:
+        """The field at each row of `points` (analytic: in batches)."""
+        if self.method == "analytic":
+            return scalar_curvatures(self.potential, points)
+        return np.array([scalar_curvature_fd(self.potential, x) for x in points])
+
 
 @dataclass(frozen=True)
 class AffineFit:
@@ -167,14 +209,19 @@ def extremality_check(
     tol: float | None = None,
     margin: float | None = None,
 ) -> tuple[bool, AffineFit]:
-    """Sample s on an interior grid and test affinity of the samples.
+    """Sample s on an interior grid and test affinity of the samples."""
+    pts = sampling.interior_grid(pot.polytope, grid, margin)
+    return extremality_from_samples(pts, [scalar_curvature(pot, x) for x in pts], tol)
+
+
+def extremality_from_samples(points, values, tol: float | None = None) -> tuple[bool, AffineFit]:
+    """Test affinity of sampled curvature values.
 
     The default tolerance is scale aware: 1e-6 times the larger of 1,
     the sample range, and the mean magnitude of s.
     """
-    pts = sampling.interior_grid(pot.polytope, grid, margin)
-    values = np.array([scalar_curvature(pot, x) for x in pts])
-    fit = affine_fit(pts, values)
+    values = np.asarray(values, dtype=float)
+    fit = affine_fit(points, values)
     if tol is None:
         spread = float(values.max() - values.min())
         tol = AFFINITY_RTOL * max(1.0, spread, abs(float(values.mean())))
@@ -191,13 +238,10 @@ def soliton_identity_residual(pot: SymplecticPotential, a, points) -> tuple[floa
     """Best constant and residual for s + |grad f|^2 + 2 f over samples,
     where f = <a, x>."""
     a = np.asarray(a, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.array(
+    vals = np.concatenate(
         [
-            scalar_curvature(pot, x)
-            + grad_length_squared(a, pot, x)
-            + 2.0 * float(a @ x)
-            for x in pts
+            _curvature_rows(pot, b) + np.einsum("i,pij,j->p", a, b.G_inv, a) + 2.0 * (b.x @ a)
+            for b in _curvature_batches(pot, points)
         ]
     )
     const = float(vals.mean())

@@ -23,12 +23,19 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from math import factorial
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, OutsideDomain, ParseError
 from .polynomial import Polynomial, polynomial_from_json
 from .polytope import DelzantPolytope, VertexData, polytope_from_json
+
+# Points per batch evaluation.  Every per-point temporary (up to n^4 floats
+# for the fourth derivative) is held for one chunk at a time, so memory stays
+# flat in the number of points while numpy still amortises its call overhead.
+_CHUNK = 256
 
 
 class SymplecticPotential:
@@ -42,6 +49,7 @@ class SymplecticPotential:
                 f"h has {self.h.nvars} variables, polytope dimension is {polytope.n}"
             )
         self._h_cache: dict[tuple[int, ...], Polynomial] = {(): self.h}
+        self._h_plans: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def guillemin(cls, polytope: DelzantPolytope) -> "SymplecticPotential":
@@ -73,6 +81,42 @@ class SymplecticPotential:
             for perm in set(itertools.permutations(combo)):
                 out[perm] = val
         return out
+
+    def _h_plan(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h's order-`order` partials compiled to arrays, once per potential.
+
+        Returns (exponents, weights, gather): the distinct partials, one per
+        sorted index tuple, are (prod_i x_i^exponents) @ weights, and
+        `gather` sends each of the n^order tensor slots to its partial.
+        """
+        plan = self._h_plans.get(order)
+        if plan is None:
+            n = self.n
+            combos = list(itertools.combinations_with_replacement(range(n), order))
+            partials = [self._h_derivative(c) for c in combos]
+            monomials = sorted({e for d in partials for e in d.coeffs})
+            exponents = np.array(monomials, dtype=float).reshape(len(monomials), n)
+            weights = np.array(
+                [[float(d.coeffs.get(e, 0)) for d in partials] for e in monomials]
+            ).reshape(len(monomials), len(combos))
+            slots = itertools.product(range(n), repeat=order)
+            gather = np.array([combos.index(tuple(sorted(s))) for s in slots])
+            plan = self._h_plans[order] = (exponents, weights, gather)
+        return plan
+
+    def _h_rows(self, order: int, x: np.ndarray) -> np.ndarray:
+        """Order-`order` partials of h at the rows of x, flattened to (N, n^order)."""
+        exponents, weights, gather = self._h_plan(order)
+        return (np.prod(x[:, None, :] ** exponents, axis=-1) @ weights)[:, gather]
+
+    @cached_property
+    def _normal_powers(self) -> list[np.ndarray]:
+        """The tensor powers u_k^{(r)} of the normals, flattened to (m, n^r)."""
+        u = self.polytope.normals_float
+        powers = [np.ones((len(u), 1))]
+        for _ in range(4):
+            powers.append((powers[-1][:, :, None] * u[:, None, :]).reshape(len(u), -1))
+        return powers
 
     def lambdas(self, x: np.ndarray) -> np.ndarray:
         return self.polytope.lambdas(x)
@@ -199,6 +243,87 @@ def metric_jet(pot: SymplecticPotential, x, with_derivatives: bool = False) -> M
         dG=jet.d3,
         d2G=jet.d4,
     )
+
+
+# ---------------------------------------------------------------------------
+# the batch engine
+
+@dataclass(frozen=True)
+class MetricBatch:
+    """Metric data at N points: every field carries a leading row axis.
+
+    lam holds the defining forms; dG and d2G are the third and fourth
+    derivatives of g, present when requested.
+    """
+
+    x: np.ndarray
+    lam: np.ndarray
+    G: np.ndarray
+    G_inv: np.ndarray
+    det_G: np.ndarray
+    dG: np.ndarray | None
+    d2G: np.ndarray | None
+
+
+def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool) -> MetricBatch:
+    """The jet of `metric_jet` at every row of x at once: lambda, the
+    derivatives of g in closed form (the same formulas as `potential_jet`,
+    with h through its compiled partials), a batched Cholesky certificate,
+    G^{-1} with one Newton refinement step, and det G."""
+    lam = pot.lambdas(x)
+    bad = lam <= 0
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        k = int(np.argmax(bad[i]))
+        raise OutsideDomain(x[i], k, lam[i, k])
+    derivs = []
+    for r in range(2, 5 if with_derivatives else 3):
+        # order r >= 2: (1/2) (-1)^r (r-2)! sum_k u_k^{(r)} / lambda_k^{r-1}
+        d = 0.5 * (-1) ** r * factorial(r - 2) * lam ** (1.0 - r) @ pot._normal_powers[r]
+        if not pot.h.is_zero:
+            d = d + 0.5 * pot._h_rows(r, x)
+        derivs.append(d.reshape((len(x),) + (pot.n,) * r))
+    g = derivs[0]
+    g = 0.5 * (g + g.swapaxes(1, 2))
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        eig = np.linalg.eigvalsh(g)[:, 0]
+        i = int(np.argmax(eig <= 0))
+        raise NotPositiveDefinite(x[i], eig[i]) from None
+    g_inv = np.linalg.inv(g)
+    # One Newton refinement step keeps G*G_inv - I near the rounding floor.
+    g_inv = g_inv @ (2.0 * np.eye(pot.n) - g @ g_inv)
+    g_inv = 0.5 * (g_inv + g_inv.swapaxes(1, 2))
+    return MetricBatch(
+        x=x,
+        lam=lam,
+        G=g,
+        G_inv=g_inv,
+        det_G=np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1) ** 2,
+        dG=derivs[1] if with_derivatives else None,
+        d2G=derivs[2] if with_derivatives else None,
+    )
+
+
+def metric_jets(pot: SymplecticPotential, points, with_derivatives: bool = False):
+    """Metric data over the rows of `points`: one MetricBatch per chunk of
+    at most _CHUNK rows, in input order.
+
+    Errors are those of calling `metric_jet` point by point: OutsideDomain
+    or NotPositiveDefinite for the first failing row, with its payload.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    for start in range(0, max(len(pts), 1), _CHUNK):
+        rows = pts[start : start + _CHUNK]
+        try:
+            batch = _metric_rows(pot, rows, with_derivatives)
+        except (OutsideDomain, NotPositiveDefinite):
+            # replay the chunk point by point: the first failing row raises
+            for x in rows:
+                metric_jet(pot, x)
+            raise
+        yield batch
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torickit import Polynomial, SymplecticPotential, catalog, potential_to_json
+from torickit import Polynomial, SymplecticPotential, catalog, interior_grid, potential_to_json
 from torickit.cli import main
 
 F = Fraction
@@ -201,6 +201,28 @@ class TestCurvature:
         rc, _, _ = run(capsys, "curvature", "--catalog", "cube(2)", "--tol", "-1")
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance(self, capsys, value):
+        rc, out, err = run(capsys, "curvature", "--catalog", "cube(2)", "--tol", value)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "tolerance" in err
+
+    def test_negative_random_count(self, capsys):
+        rc, out, err = run(capsys, "curvature", "--catalog", "simplex(2)", "--random", "-1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "--random" in err
+
+    def test_random_samples_keep_the_grid_fit(self, capsys):
+        rc, out, _ = run(
+            capsys, "curvature", "--catalog", "hirzebruch(1)", "--random", "7", "--grid", "6"
+        )
+        doc = json.loads(out)
+        assert rc == 1
+        assert len(doc["samples"]) == 7
+        assert doc["affine_fit"]["n_samples"] == len(interior_grid(catalog("hirzebruch", 1), 6))
+
 
 class TestSoliton:
     def test_blowup_diagonal_vector(self, capsys):
@@ -272,6 +294,13 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "--catalog", "cube(2)")
         assert rc == 2
         assert "required" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_vector(self, capsys, value):
+        rc, out, err = run(capsys, "verify", "--catalog", "simplex(2)", "-a", value, "0")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
 
     def test_vector_length_is_checked(self, capsys):
         rc, _, err = run(capsys, "verify", "--catalog", "cube(2)", "-a", "1")

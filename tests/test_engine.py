@@ -1,0 +1,201 @@
+"""The batched metric-and-curvature engine: agreement with the one-point
+API, an exact rational oracle, error payloads, chunked memory, and
+unimodular covariance as a property test."""
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torickit import (
+    NotPositiveDefinite,
+    OutsideDomain,
+    Polynomial,
+    SymplecticPotential,
+    UnimodularMap,
+    catalog,
+    metric_jet,
+    metric_jets,
+    random_interior_points,
+    scalar_curvature,
+    scalar_curvatures,
+    soliton_identity_residual,
+)
+from torickit import sampling
+
+F = Fraction
+
+
+def exact_inverse(m):
+    """Gauss-Jordan inverse of a Fraction matrix."""
+    n = len(m)
+    a = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                a[r] = [v - a[r][col] * w for v, w in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def exact_guillemin_curvature(p, x):
+    """Abreu's closed form for h = 0 in exact arithmetic, C = U G^-1 U^T:
+    s = sum C_aa^2/l_a^3 - 1/4 sum (C_ab^3 + C_aa C_ab C_bb)/(l_a l_b)^2."""
+    x = [F(c) for c in x]
+    us = [[F(c) for c in f.u] for f in p.forms]
+    lam = [sum(u_i * x_i for u_i, x_i in zip(u, x)) - F(f.b) for u, f in zip(us, p.forms)]
+    n = p.n
+    g = [[sum(u[i] * u[j] / (2 * l) for u, l in zip(us, lam)) for j in range(n)] for i in range(n)]
+    gi = exact_inverse(g)
+    c = [
+        [sum(ua[i] * gi[i][j] * ub[j] for i in range(n) for j in range(n)) for ub in us]
+        for ua in us
+    ]
+    m = len(us)
+    first = sum(c[a][a] ** 2 / lam[a] ** 3 for a in range(m))
+    second = sum(
+        (c[a][b] ** 3 + c[a][a] * c[a][b] * c[b][b]) / (lam[a] * lam[b]) ** 2
+        for a in range(m)
+        for b in range(m)
+    )
+    return first - second / 4
+
+
+def perturbed_simplex():
+    return SymplecticPotential(catalog("simplex", 2), Polynomial(2, {(2, 2): F(1, 100)}))
+
+
+def batch(pot, pts, field):
+    return np.concatenate([getattr(jet, field) for jet in metric_jets(pot, pts)])
+
+
+class TestExactOracle:
+    def test_hexagon_rational_point(self):
+        p = catalog("blowup_cp2", 3)
+        x = (F(1, 7), F(-2, 9))
+        want = exact_guillemin_curvature(p, x)
+        assert want == F(168951848556, 62516610805)
+        pot = SymplecticPotential.guillemin(p)
+        pts = random_interior_points(p, 600, rng=3)
+        pts[417] = [float(c) for c in x]       # inside the second chunk
+        got = scalar_curvatures(pot, pts)[417]
+        assert abs(got - float(want)) <= 1e-12 * float(want)
+
+    @pytest.mark.parametrize(
+        "name,params,want", [("simplex", (1,), 4.0), ("simplex", (2,), 12.0), ("cube", (2,), 8.0)]
+    )
+    def test_constant_curvature_over_a_large_batch(self, name, params, want):
+        p = catalog(name, *params)
+        assert exact_guillemin_curvature(p, p.vertex_floats.mean(axis=0).tolist()) == want
+        pts = random_interior_points(p, 10_000, rng=8)
+        s = scalar_curvatures(SymplecticPotential.guillemin(p), pts)
+        assert s.shape == (10_000,)
+        assert np.max(np.abs(s - want)) < 1e-8
+
+
+class TestBatchEquivalence:
+    @staticmethod
+    def check(pot):
+        margin = 0.02 * sampling.diameter(pot.polytope)
+        pts = random_interior_points(pot.polytope, 300, margin=margin, rng=6)
+        single = [metric_jet(pot, x) for x in pts]
+        assert np.allclose(batch(pot, pts, "G"), [j.G for j in single], rtol=1e-13, atol=0)
+        assert np.allclose(batch(pot, pts, "G_inv"), [j.G_inv for j in single], rtol=1e-12, atol=0)
+        assert np.allclose(batch(pot, pts, "det_G"), [j.det_G for j in single], rtol=1e-12, atol=0)
+        want = [scalar_curvature(pot, x) for x in pts]
+        assert np.allclose(scalar_curvatures(pot, pts), want, rtol=1e-12, atol=1e-12)
+
+    def test_catalog(self, catalog_potential):
+        self.check(catalog_potential)
+
+    def test_perturbed_potential(self):
+        self.check(perturbed_simplex())
+
+
+class TestBatchErrors:
+    def test_exterior_row(self):
+        pot = SymplecticPotential.guillemin(catalog("simplex", 2))
+        pts = random_interior_points(pot.polytope, 700, rng=4)
+        pts[300] = [0.3, 0.9]                  # violates x + y <= 1
+        pts[500] = [-0.1, 0.2]
+        with pytest.raises(OutsideDomain) as one:
+            metric_jet(pot, pts[300])
+        for evaluate in (lambda: batch(pot, pts, "G"), lambda: scalar_curvatures(pot, pts)):
+            with pytest.raises(OutsideDomain) as got:
+                evaluate()
+            assert (got.value.point, got.value.form_index, got.value.value) == (
+                one.value.point, one.value.form_index, one.value.value,
+            )
+
+    def test_not_positive_definite_row(self):
+        # h = -4 x^2 leaves G = 1/(2x(1-x)) - 4 positive only near the ends
+        pot = SymplecticPotential(catalog("simplex", 1), Polynomial(1, {(2,): F(-4)}))
+        pts = np.array([[0.05]] * 260 + [[0.45], [0.5], [0.97]])
+        with pytest.raises(NotPositiveDefinite) as one:
+            metric_jet(pot, pts[260])
+        with pytest.raises(NotPositiveDefinite) as got:
+            soliton_identity_residual(pot, np.array([0.3]), pts)
+        assert got.value.point == one.value.point == (0.45,)
+        assert got.value.eigenvalue == one.value.eigenvalue < 0
+
+
+def test_identity_residual_memory_is_flat():
+    pot = SymplecticPotential.guillemin(catalog("cube", 4))
+    pts = random_interior_points(pot.polytope, 10_000, rng=5)
+    a = np.array([0.1, -0.2, 0.05, 0.3])
+    soliton_identity_residual(pot, a, pts[:10])
+    tracemalloc.start()
+    try:
+        soliton_identity_residual(pot, a, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# unimodular covariance: x' = A (x - t) maps G^{-1} to A G^{-1} A^T and
+# leaves s unchanged
+
+COVARIANCE_POLYTOPES = [("hirzebruch", (1,)), ("blowup_cp2", (1,)), ("blowup_cp2", (3,)),
+                        ("simplex", (3,)), ("cube", (3,))]
+
+
+@st.composite
+def lattice_images(draw):
+    name, params = draw(st.sampled_from(COVARIANCE_POLYTOPES))
+    p = catalog(name, *params)
+    n = p.n
+    a = np.eye(n, dtype=int)
+    for _ in range(draw(st.integers(0, 4))):         # row shears
+        i, j = draw(st.permutations(range(n)))[:2]
+        a[i] += draw(st.integers(-2, 2)) * a[j]
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    a = a[draw(st.permutations(range(n)))] * np.array(signs)[:, None]
+    shift = tuple(F(draw(st.integers(-6, 6)), draw(st.integers(1, 4))) for _ in range(n))
+    count = len(p.vertices)
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=count, max_size=count)))
+    x = weights @ p.vertex_floats / weights.sum()   # strictly interior
+    return p, UnimodularMap(tuple(map(tuple, a.tolist())), shift), x
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_images())
+def test_unimodular_covariance(case):
+    p, um, x = case
+    pot = SymplecticPotential.guillemin(p)
+    pot2 = SymplecticPotential.guillemin(um.apply_polytope(p))
+    a = np.array(um.matrix, dtype=float)
+    pts = np.array([x, 0.5 * (x + p.vertex_floats.mean(axis=0))])
+    images = um.apply_point_float(pts)
+    law = a @ batch(pot, pts, "G_inv") @ a.T
+    got = batch(pot2, images, "G_inv")
+    assert np.max(np.abs(got - law)) <= 1e-10 * max(1.0, np.max(np.abs(law)))
+    s, s2 = scalar_curvatures(pot, pts), scalar_curvatures(pot2, images)
+    assert np.max(np.abs(s2 - s)) <= 1e-8 * max(1.0, np.max(np.abs(s)))
+    assert abs(scalar_curvature(pot2, images[0]) - s[0]) <= 1e-8 * max(1.0, abs(s[0]))
