@@ -233,12 +233,7 @@ def cmd_curvature(args) -> int:
         doc = {
             "config": config.to_json(),
             "samples": [list(map(float, x)) + [float(v)] for x, v in zip(pts, values)],
-            "affine_fit": {
-                "constant": fit.constant,
-                "gradient": [float(c) for c in fit.gradient],
-                "max_residual": fit.max_residual,
-                "n_samples": fit.n_samples,
-            },
+            "affine_fit": fit.to_json(),
             "is_extremal": is_extremal,
         }
         _emit_json(doc, args)

@@ -12,17 +12,17 @@ computed analytically from the metric jet via
                      - G^{-1} (d_k d_j G) G^{-1}
 
 or, as an independent route, by Richardson-extrapolated central
-differences of the entries of G^{-1}.  Over many points
-(`scalar_curvatures`) the canonical potential (h = 0) uses Abreu's
-closed form in C = U G^{-1} U^T, the metric pairings of the normals,
+differences of the entries of G^{-1}.  The canonical potential (h = 0)
+uses Abreu's closed form in C = U G^{-1} U^T, the metric pairings of the
+normals, at one point and over many,
 
     s = sum_a C_aa^2 / lambda_a^3
         - 1/4 sum_ab (C_ab^3 + C_aa C_ab C_bb) / (lambda_a lambda_b)^2,
 
-and a perturbed potential the jet formula above, both over batches from
-`metric_jets`.  Canonical potentials give s = 4 on the unit interval,
-12 on the unit simplex, 8 on the unit square; a metric is extremal
-exactly when s is an affine function.
+and a perturbed potential the jet formula above, in batches from
+`metric_jets` over many points.  Canonical potentials give s = 4 on the
+unit interval, 12 on the unit simplex, 8 on the unit square; a metric is
+extremal exactly when s is an affine function.
 """
 
 from __future__ import annotations
@@ -42,6 +42,14 @@ AFFINITY_RTOL = 1e-6
 
 def scalar_curvature(pot: SymplecticPotential, x) -> float:
     """Analytic scalar curvature at an interior point."""
+    if pot.h.is_zero:
+        return float(scalar_curvatures(pot, [x])[0])
+    return _jet_curvature(pot, x)
+
+
+def _jet_curvature(pot: SymplecticPotential, x) -> float:
+    """The jet formula at one point.  For h = 0 it loses precision as
+    cond(G) grows, where Abreu's closed form does not."""
     jet = metric_jet(pot, x, with_derivatives=True)
     gi, dg, d2g = jet.G_inv, jet.dG, jet.d2G
     n = gi.shape[0]
@@ -179,6 +187,14 @@ class AffineFit:
 
     def __call__(self, x) -> float:
         return float(self.constant + np.dot(self.gradient, np.asarray(x, dtype=float)))
+
+    def to_json(self) -> dict:
+        return {
+            "constant": self.constant,
+            "gradient": [float(c) for c in self.gradient],
+            "max_residual": self.max_residual,
+            "n_samples": self.n_samples,
+        }
 
 
 def affine_fit(points, values) -> AffineFit:

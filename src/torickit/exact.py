@@ -24,89 +24,79 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def mat_copy(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _eliminate(rows, ncols: int):
+    """Exact Gauss-Jordan elimination of a copy of `rows`.
+
+    Pivots are sought only in the first `ncols` columns; any further
+    columns ride along.  Returns the reduced rows, the pivot columns and
+    the product of the pivots signed by the row swaps.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    product = Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            product = -product
+        # Columns left of c are zero in row r, so only its tail is touched.
+        # Unit pivots and zero entries, the common case for lattice
+        # normals, cost no Fraction arithmetic.
+        pivot = m[r][c]
+        if pivot != 1:
+            product *= pivot
+            m[r][c:] = [x / pivot if x else x for x in m[r][c:]]
+        tail = m[r][c:]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [a - f * b if b else a for a, b in zip(row[c:], tail)]
+        pivots.append(c)
+    return m, pivots, product
+
+
+def _free_vector(reduced, pivots, ncols: int):
+    """The kernel vector of reduced rows that is 1 at the first free column."""
+    j = next((c for c in range(ncols) if c not in pivots), None)
+    if j is None:
+        return None
+    vec = [Fraction(0)] * ncols
+    vec[j] = Fraction(1)
+    for row, c in zip(reduced, pivots):
+        vec[c] = -row[j]
+    return tuple(vec)
 
 
 def rank(rows) -> int:
     """Rank by fraction-exact Gaussian elimination."""
-    m = mat_copy(rows)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_eliminate(rows, len(rows[0]))[1]) if rows else 0
 
 
 def det(rows) -> Fraction:
-    m = mat_copy(rows)
-    n = len(m)
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result
+    _, pivots, product = _eliminate(rows, len(rows))
+    return product if len(pivots) == len(rows) else Fraction(0)
 
 
 def solve(rows, rhs):
     """Solve a square exact system; None when singular."""
     n = len(rows)
-    m = [list(row) + [b] for row, b in zip(mat_copy(rows), rhs)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return tuple(m[i][n] for i in range(n))
+    reduced, pivots, _ = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    return tuple(row[n] for row in reduced) if len(pivots) == n else None
 
 
 def inverse(rows):
     """Exact inverse of a nonsingular square matrix."""
     n = len(rows)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat_copy(rows))]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return tuple(tuple(m[i][n + j] for j in range(n)) for i in range(n))
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots, _ = _eliminate(augmented, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def kernel_vector(rows, ncols: int):
@@ -114,32 +104,7 @@ def kernel_vector(rows, ncols: int):
 
     For a (ncols-1)-rank matrix this spans the kernel.
     """
-    m = mat_copy(rows)
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    j = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[j] = Fraction(1)
-    for row, c in zip(m, pivots):
-        vec[c] = -row[j]
-    return tuple(vec)
+    return _free_vector(*_eliminate(rows, ncols)[:2], ncols)
 
 
 def affine_rank(points) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -84,17 +84,17 @@ class VertexData:
 
 def _recession_direction(normals: Sequence[tuple[int, ...]], n: int):
     """An exact nonzero direction y with <u_k, y> >= 0 for all k, or None."""
-    if exact.rank(normals) < n:
-        return exact.kernel_vector(normals, n)
+    y = exact.kernel_vector(normals, n)
+    if y is not None:
+        return y
     # The cone {Uy >= 0} is pointed, so if nontrivial it has an extreme
-    # ray cut out by n-1 linearly independent active normals.
+    # ray cut out by n-1 linearly independent active normals.  One
+    # elimination of a subset gives both its rank and that ray.
     for subset in itertools.combinations(range(len(normals)), n - 1):
-        rows = [normals[i] for i in subset]
-        if exact.rank(rows) != n - 1:
+        reduced, pivots, _ = exact._eliminate([normals[i] for i in subset], n)
+        if len(pivots) != n - 1:
             continue
-        y = exact.kernel_vector(rows, n)
-        if y is None:
-            continue
+        y = exact._free_vector(reduced, pivots, n)
         vals = [sum(c * yc for c, yc in zip(u, y)) for u in normals]
         if all(v >= 0 for v in vals):
             return y
@@ -300,21 +300,23 @@ class UnimodularMap:
 
     matrix: tuple[tuple[int, ...], ...]
     translation: tuple[Fraction, ...]
+    matrix_inverse: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = tuple(tuple(int(c) for c in row) for row in self.matrix)
-        d = exact.det(a)
-        if abs(d) != 1:
-            raise ValueError(f"matrix determinant {d}, not a lattice automorphism")
+        # An integer matrix has determinant +-1 exactly when its inverse is
+        # integral, so one elimination both checks and inverts it.
+        try:
+            inv = exact.inverse(a)
+        except ZeroDivisionError:
+            inv = None
+        if inv is None or any(c.denominator != 1 for row in inv for c in row):
+            raise ValueError(f"matrix determinant {exact.det(a)}, not a lattice automorphism")
         object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix_inverse", tuple(tuple(int(c) for c in row) for row in inv))
         object.__setattr__(
             self, "translation", tuple(exact.frac(c) for c in self.translation)
         )
-
-    @cached_property
-    def matrix_inverse(self) -> tuple[tuple[int, ...], ...]:
-        inv = exact.inverse(self.matrix)
-        return tuple(tuple(int(c) for c in row) for row in inv)
 
     def apply_point(self, x):
         shifted = [exact.frac(c) - t for c, t in zip(x, self.translation)]
@@ -370,16 +372,14 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
             f"{len(vertex.edge_generators)} edges, expected {p.n}"
         )
     gens = sorted(vertex.edge_generators, key=_generator_slot)
-    columns = [[Fraction(g[i]) for g in gens] for i in range(p.n)]
-    if abs(exact.det(columns)) != 1:
+    try:
+        # the edge generators as columns: this map sends e_i to gens[i]
+        edges = UnimodularMap(matrix=tuple(zip(*gens)), translation=(0,) * p.n)
+    except ValueError:
         raise NotDelzantVertex(
             f"edge basis at {tuple(map(str, vertex.coordinates))} is not unimodular"
-        )
-    a = exact.inverse(columns)
-    trans = UnimodularMap(
-        matrix=tuple(tuple(int(c) for c in row) for row in a),
-        translation=vertex.coordinates,
-    )
+        ) from None
+    trans = UnimodularMap(matrix=edges.matrix_inverse, translation=vertex.coordinates)
     mapped_forms = [trans.apply_form(f) for f in p.forms]
 
     basis = [tuple(int(i == j) for j in range(p.n)) for i in range(p.n)]
@@ -535,7 +535,3 @@ def polytope_from_json(doc) -> DelzantPolytope:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise ParseError(f"form {i}: {e}") from e
     return DelzantPolytope.from_forms(forms, n)
-
-
-def polytope_to_json(p: DelzantPolytope) -> dict:
-    return p.to_json()

@@ -467,7 +467,3 @@ def potential_from_json(doc) -> SymplecticPotential:
     polytope = polytope_from_json(doc["polytope"])
     h = polynomial_from_json(doc.get("h"), polytope.n)
     return SymplecticPotential(polytope, h)
-
-
-def potential_to_json(pot: SymplecticPotential) -> dict:
-    return pot.to_json()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import BadMargin
@@ -23,6 +25,24 @@ def diameter(p: DelzantPolytope) -> float:
 
 def default_margin(p: DelzantPolytope) -> float:
     return DEFAULT_MARGIN_FACTOR * diameter(p)
+
+
+def inradius(p: DelzantPolytope) -> float:
+    """Radius of the largest ball inside p: the largest r with
+    lambda_k(x) >= r |u_k| for every k.
+
+    As a linear programme in (x, r) its optimum is a vertex where n + 1
+    of the constraints are tight, so it is the largest feasible r over
+    the solutions of those (n+1) x (n+1) systems.
+    """
+    a = np.hstack([p.normals_float, -p.normal_lengths[:, None]])
+    b = p.offsets_float
+    subsets = np.array(list(itertools.combinations(range(len(b)), p.n + 1)))
+    mats, rhs = a[subsets], b[subsets]
+    keep = np.abs(np.linalg.det(mats)) > 1e-9
+    sols = np.linalg.solve(mats[keep], rhs[keep][..., None])[..., 0]
+    feasible = np.all(sols @ a.T - b >= -1e-9 * (1.0 + np.abs(b).max()), axis=1)
+    return float(sols[feasible, -1].max())
 
 
 def interior_distance(p: DelzantPolytope, x) -> np.ndarray | float:
@@ -60,6 +80,9 @@ def random_interior_points(
         rng = np.random.default_rng(rng)
     if margin is None:
         margin = default_margin(p)
+    radius = inradius(p)
+    if margin >= radius:
+        raise BadMargin(f"margin {margin} is not below the inradius {radius:.6g}")
     lo, hi = bounding_box(p)
     out = np.empty((count, p.n))
     have = 0

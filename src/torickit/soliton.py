@@ -299,12 +299,7 @@ class EinsteinVerdict:
     def to_json(self) -> dict:
         return {
             "conclusion": self.conclusion.value,
-            "affine_fit": {
-                "constant": self.fit.constant,
-                "gradient": [float(c) for c in self.fit.gradient],
-                "max_residual": self.fit.max_residual,
-                "n_samples": self.fit.n_samples,
-            },
+            "affine_fit": self.fit.to_json(),
             "vertex_values": [float(v) for v in self.vertex_values],
             "rank": int(self.rank),
             "certificates": self.certificates,

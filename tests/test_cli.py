@@ -4,12 +4,13 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from torickit import Polynomial, SymplecticPotential, catalog, interior_grid, potential_to_json
+from torickit import Polynomial, SymplecticPotential, catalog, interior_grid
 from torickit.cli import main
 
 F = Fraction
@@ -173,7 +174,7 @@ class TestCurvature:
             catalog("simplex", 1), Polynomial(1, {(3,): F(1, 10)})
         )
         path = tmp_path / "pert.json"
-        path.write_text(json.dumps(potential_to_json(pot)))
+        path.write_text(json.dumps(pot.to_json()))
         rc, out, _ = run(capsys, "curvature", "--input", str(path))
         doc = json.loads(out)
         assert rc == 1
@@ -191,8 +192,10 @@ class TestCurvature:
         ids=["grid", "random"],
     )
     def test_margin_beyond_the_inradius(self, capsys, flags):
-        # the inradius of simplex(2) is about 0.29
+        # the inradius of simplex(2) is about 0.29; the refusal is immediate
+        start = time.perf_counter()
         rc, out, err = run(capsys, "curvature", "--catalog", "simplex(2)", *flags)
+        assert time.perf_counter() - start < 0.1
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and "margin" in err

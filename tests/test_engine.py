@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torickit import (
@@ -25,6 +25,9 @@ from torickit import (
     soliton_identity_residual,
 )
 from torickit import sampling
+from torickit.curvature import _jet_curvature
+
+from strategies import lattice_maps
 
 F = Fraction
 
@@ -107,7 +110,7 @@ class TestBatchEquivalence:
         assert np.allclose(batch(pot, pts, "G"), [j.G for j in single], rtol=1e-13, atol=0)
         assert np.allclose(batch(pot, pts, "G_inv"), [j.G_inv for j in single], rtol=1e-12, atol=0)
         assert np.allclose(batch(pot, pts, "det_G"), [j.det_G for j in single], rtol=1e-12, atol=0)
-        want = [scalar_curvature(pot, x) for x in pts]
+        want = [_jet_curvature(pot, x) for x in pts]
         assert np.allclose(scalar_curvatures(pot, pts), want, rtol=1e-12, atol=1e-12)
 
     def test_catalog(self, catalog_potential):
@@ -170,22 +173,24 @@ COVARIANCE_POLYTOPES = [("hirzebruch", (1,)), ("blowup_cp2", (1,)), ("blowup_cp2
 def lattice_images(draw):
     name, params = draw(st.sampled_from(COVARIANCE_POLYTOPES))
     p = catalog(name, *params)
-    n = p.n
-    a = np.eye(n, dtype=int)
-    for _ in range(draw(st.integers(0, 4))):         # row shears
-        i, j = draw(st.permutations(range(n)))[:2]
-        a[i] += draw(st.integers(-2, 2)) * a[j]
-    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    a = a[draw(st.permutations(range(n)))] * np.array(signs)[:, None]
-    shift = tuple(F(draw(st.integers(-6, 6)), draw(st.integers(1, 4))) for _ in range(n))
+    um = draw(lattice_maps(p.n))
     count = len(p.vertices)
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=count, max_size=count)))
     x = weights @ p.vertex_floats / weights.sum()   # strictly interior
-    return p, UnimodularMap(tuple(map(tuple, a.tolist())), shift), x
+    return p, um, x
 
 
 @settings(max_examples=40, deadline=None)
 @given(lattice_images())
+# cond(G) is about 2.8e4 at the image point: the one-point jet loop was off
+# by 3.6e-8 relative there, the closed form is not
+@example(
+    case=(
+        catalog("simplex", 3),
+        UnimodularMap(((-5, 5, -2), (0, -1, 0), (-2, 2, -1)), (F(0),) * 3),
+        np.array([16, 16, 1]) / 49,
+    )
+)
 def test_unimodular_covariance(case):
     p, um, x = case
     pot = SymplecticPotential.guillemin(p)

@@ -8,6 +8,29 @@ import pytest
 from torickit import exact
 
 
+def _known_rank_cases():
+    """(A, k): A = B C through inner dimension k, as tuples of plain ints.
+
+    B has an identity block in k of its rows and C in k of its columns,
+    so both have rank k and so has A; shapes up to 4 x 4, square and
+    rectangular, most of them rank-deficient.
+    """
+    rng = np.random.default_rng(5)
+    cases = []
+    for nrows in range(1, 5):
+        for ncols in range(1, 5):
+            for k in range(min(nrows, ncols) + 1):
+                b = np.vstack([np.eye(k, dtype=int), rng.integers(-3, 4, (nrows - k, k))])
+                c = np.hstack([np.eye(k, dtype=int), rng.integers(-3, 4, (k, ncols - k))])
+                a = b[rng.permutation(nrows)] @ c[:, rng.permutation(ncols)]
+                cases.append((tuple(tuple(int(v) for v in row) for row in a), k))
+    return cases
+
+
+KNOWN_RANK = _known_rank_cases()
+SINGULAR = [a for a, k in KNOWN_RANK if len(a) == len(a[0]) > k]
+
+
 def test_frac_parses_strings_and_ints():
     assert exact.frac("3/4") == Fraction(3, 4)
     assert exact.frac(-2) == Fraction(-2)
@@ -40,6 +63,10 @@ def test_det_and_rank_match_numpy_on_random_integer_matrices():
         assert d == round(float(np.linalg.det(m.astype(float))))
         r = exact.rank([[Fraction(int(v)) for v in row] for row in m])
         assert r == np.linalg.matrix_rank(m.astype(float))
+    for a, k in KNOWN_RANK:
+        assert exact.rank(a) == k
+    for a in SINGULAR:
+        assert exact.det(a) == 0
 
 
 def test_solve_exact():
@@ -48,6 +75,8 @@ def test_solve_exact():
     assert sol == (Fraction(1), Fraction(3))
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert exact.solve(singular, [Fraction(1), Fraction(1)]) is None
+    for a in SINGULAR:
+        assert exact.solve(a, [1] * len(a)) is None
 
 
 def test_inverse_roundtrip():
@@ -66,6 +95,9 @@ def test_inverse_roundtrip():
         assert prod == [
             [Fraction(int(i == j)) for j in range(n)] for i in range(n)
         ]
+    for a in SINGULAR:
+        with pytest.raises(ZeroDivisionError):
+            exact.inverse(a)
 
 
 def test_kernel_vector():
@@ -75,6 +107,12 @@ def test_kernel_vector():
     assert v[0] * 1 + v[1] * 2 == 0
     assert any(c != 0 for c in v)
     assert exact.kernel_vector([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], 2) is None
+    for a, k in KNOWN_RANK:
+        v = exact.kernel_vector(a, len(a[0]))
+        if k == len(a[0]):
+            assert v is None
+        else:
+            assert any(v) and all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
 
 
 def test_affine_rank():

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torickit import (
+    CATALOG_DEFAULTS,
     AffineForm,
     BadParams,
     DelzantPolytope,
@@ -22,11 +25,13 @@ from torickit import (
     catalog,
     check_delzant,
     enumerate_vertices,
+    exact_volume,
     normalize_at_vertex,
     polytope_from_json,
-    polytope_to_json,
     vertices_affinely_span,
 )
+
+from strategies import lattice_maps
 
 F = Fraction
 
@@ -201,8 +206,30 @@ class TestNormalization:
 
 class TestUnimodularMap:
     def test_det_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="determinant 2"):
             UnimodularMap(((2, 0), (0, 1)), (F(0), F(0)))
+        with pytest.raises(ValueError, match="determinant 0"):
+            UnimodularMap(((1, 2), (2, 4)), (F(0), F(0)))
+        assert UnimodularMap(((1, 1), (0, -1)), (F(0), F(0))).matrix_inverse == ((1, 1), (0, -1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_lattice_maps_preserve_exact_invariants(self, data):
+        # the catalog, and a triangle whose vertex (0, 1) has edge determinant 2
+        triangle = DelzantPolytope.from_forms(forms_2d((1, 0, 0), (0, 1, 0), (-1, -2, -2)), 2)
+        entries = st.sampled_from(CATALOG_DEFAULTS).map(lambda e: catalog(e[0], *e[1]))
+        p = data.draw(entries | st.just(triangle))
+        um = data.draw(lattice_maps(p.n))
+        q = um.apply_polytope(p)
+        before, after = check_delzant(p), check_delzant(q)
+        assert after.is_delzant == before.is_delzant
+        assert sorted(abs(r.edge_det) for r in after.vertex_reports) == sorted(
+            abs(r.edge_det) for r in before.vertex_reports
+        )
+        assert sorted(v.coordinates for v in q.vertices) == sorted(
+            um.apply_point(v.coordinates) for v in p.vertices
+        )
+        assert exact_volume(q) == exact_volume(p)
 
     def test_form_transform_preserves_values(self):
         m = UnimodularMap(((1, 1), (0, 1)), (F(1), F(-2)))
@@ -256,7 +283,7 @@ class TestCatalog:
 
 class TestJson:
     def test_roundtrip(self, catalog_polytope):
-        doc = polytope_to_json(catalog_polytope)
+        doc = catalog_polytope.to_json()
         q = polytope_from_json(json.loads(json.dumps(doc)))
         assert [(f.u, f.b) for f in q.forms] == [
             (f.u, f.b) for f in catalog_polytope.forms

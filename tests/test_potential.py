@@ -22,7 +22,6 @@ from torickit import (
     normalize_at_vertex,
     potential_from_json,
     potential_jet,
-    potential_to_json,
     vertex_vanishing_probe,
 )
 
@@ -244,7 +243,7 @@ class TestSerialization:
         pot = SymplecticPotential(
             catalog("simplex", 2), Polynomial(2, {(2, 2): F(1, 100)})
         )
-        doc = json.loads(json.dumps(potential_to_json(pot)))
+        doc = json.loads(json.dumps(pot.to_json()))
         back = potential_from_json(doc)
         assert back.h == pot.h
         assert [(f.u, f.b) for f in back.polytope.forms] == [

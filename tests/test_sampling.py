@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torickit import (
+    BadMargin,
     catalog,
     geometric_ts,
     interior_distance,
@@ -57,6 +58,30 @@ def test_random_points_deterministic_and_interior(catalog_polytope):
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.all(catalog_polytope.lambdas(a) > 0)
+
+
+@pytest.mark.parametrize(
+    "name,params,want",
+    [
+        ("simplex", (1,), 0.5),
+        ("simplex", (2,), 1 / (2 + np.sqrt(2))),
+        ("simplex", (4,), 1 / 6),
+        ("cube", (3,), 0.5),
+        ("blowup_cp2", (3,), 1 / np.sqrt(2)),
+    ],
+)
+def test_inradius(name, params, want):
+    assert sampling.inradius(catalog(name, *params)) == pytest.approx(want, rel=1e-12)
+
+
+def test_random_points_refuse_a_margin_from_the_inradius_on():
+    p = catalog("simplex", 2)
+    r = sampling.inradius(p)
+    for margin in (r, 0.4):
+        with pytest.raises(BadMargin, match="inradius"):
+            random_interior_points(p, 5, margin=margin)
+    pts = random_interior_points(p, 5, margin=0.95 * r)
+    assert np.all(interior_distance(p, pts) >= 0.95 * r)
 
 
 def test_geometric_ladder():
