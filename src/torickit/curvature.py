@@ -14,15 +14,16 @@ computed analytically from the metric jet via
 or, as an independent route, by Richardson-extrapolated central
 differences of the entries of G^{-1}.  The canonical potential (h = 0)
 uses Abreu's closed form in C = U G^{-1} U^T, the metric pairings of the
-normals, at one point and over many,
+normals,
 
     s = sum_a C_aa^2 / lambda_a^3
         - 1/4 sum_ab (C_ab^3 + C_aa C_ab C_bb) / (lambda_a lambda_b)^2,
 
-and a perturbed potential the jet formula above, in batches from
-`metric_jets` over many points.  Canonical potentials give s = 4 on the
-unit interval, 12 on the unit simplex, 8 on the unit square; a metric is
-extremal exactly when s is an affine function.
+and a perturbed potential the jet formula above.  Both run in batches
+from `metric_jets`; one point is a batch of one row.  Canonical
+potentials give s = 4 on the unit interval, 12 on the unit simplex, 8 on
+the unit square; a metric is extremal exactly when s is an affine
+function.
 """
 
 from __future__ import annotations
@@ -41,26 +42,8 @@ AFFINITY_RTOL = 1e-6
 
 
 def scalar_curvature(pot: SymplecticPotential, x) -> float:
-    """Analytic scalar curvature at an interior point."""
-    if pot.h.is_zero:
-        return float(scalar_curvatures(pot, [x])[0])
-    return _jet_curvature(pot, x)
-
-
-def _jet_curvature(pot: SymplecticPotential, x) -> float:
-    """The jet formula at one point.  For h = 0 it loses precision as
-    cond(G) grows, where Abreu's closed form does not."""
-    jet = metric_jet(pot, x, with_derivatives=True)
-    gi, dg, d2g = jet.G_inv, jet.dG, jet.d2G
-    n = gi.shape[0]
-    total = 0.0
-    for j in range(n):
-        for k in range(n):
-            a1 = gi @ dg[k] @ gi @ dg[j] @ gi
-            a2 = gi @ dg[j] @ gi @ dg[k] @ gi
-            a3 = gi @ d2g[k, j] @ gi
-            total -= a1[j, k] + a2[j, k] - a3[j, k]
-    return float(total)
+    """Analytic scalar curvature at an interior point: the one-row batch."""
+    return float(scalar_curvatures(pot, [x])[0])
 
 
 def _curvature_rows(pot: SymplecticPotential, b: MetricBatch) -> np.ndarray:

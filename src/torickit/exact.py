@@ -72,26 +72,35 @@ def _free_vector(reduced, pivots, ncols: int):
     return tuple(vec)
 
 
+def _order(rows) -> int:
+    """The order n of an n x n matrix; ValueError for any other shape."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"not a square matrix: {n} rows of lengths {[len(row) for row in rows]}")
+    return n
+
+
 def rank(rows) -> int:
     """Rank by fraction-exact Gaussian elimination."""
     return len(_eliminate(rows, len(rows[0]))[1]) if rows else 0
 
 
 def det(rows) -> Fraction:
-    _, pivots, product = _eliminate(rows, len(rows))
-    return product if len(pivots) == len(rows) else Fraction(0)
+    n = _order(rows)
+    _, pivots, product = _eliminate(rows, n)
+    return product if len(pivots) == n else Fraction(0)
 
 
 def solve(rows, rhs):
     """Solve a square exact system; None when singular."""
-    n = len(rows)
+    n = _order(rows)
     reduced, pivots, _ = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], n)
     return tuple(row[n] for row in reduced) if len(pivots) == n else None
 
 
 def inverse(rows):
     """Exact inverse of a nonsingular square matrix."""
-    n = len(rows)
+    n = _order(rows)
     augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     reduced, pivots, _ = _eliminate(augmented, n)
     if len(pivots) < n:

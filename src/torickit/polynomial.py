@@ -170,22 +170,23 @@ def polynomial_from_json(doc, nvars: int) -> Polynomial:
             raise ParseError(f"invalid JSON: {e}") from e
     if doc is None:
         return Polynomial.zero(nvars)
-    if not isinstance(doc, dict) or "monomials" not in doc:
-        raise ParseError("polynomial document must contain 'monomials'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("monomials"), list):
+        raise ParseError("polynomial document must contain a 'monomials' list")
     coeffs = {}
     for i, mono in enumerate(doc["monomials"]):
+        if not isinstance(mono, dict) or not {"exponents", "coeff"} <= mono.keys():
+            raise ParseError(f"monomial {i} must be an object with 'exponents' and 'coeff'")
+        exps, coeff = mono["exponents"], mono["coeff"]
+        # type(...) is int: JSON integers only, so neither true nor 1.7 nor 1.0
+        if not isinstance(exps, list) or any(type(e) is not int or e < 0 for e in exps):
+            raise ParseError(f"monomial {i}: exponents must be non-negative integers, got {exps!r}")
+        if len(exps) != nvars:
+            raise ParseError(f"monomial {i}: expected {nvars} exponents, got {len(exps)}")
+        if type(coeff) not in (str, int):
+            raise ParseError(f"monomial {i}: coefficient must be an int or 'p/q' string")
         try:
-            exps = tuple(int(e) for e in mono["exponents"])
-            if len(exps) != nvars:
-                raise ParseError(
-                    f"monomial {i}: expected {nvars} exponents, got {len(exps)}"
-                )
-            coeff = mono["coeff"]
-            if not isinstance(coeff, (str, int)):
-                raise ParseError(f"monomial {i}: coefficient must be int or 'p/q'")
-            coeffs[exps] = coeffs.get(exps, Fraction(0)) + exact.frac(coeff)
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+            c = exact.frac(coeff)
+        except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"monomial {i}: {e}") from e
+        coeffs[tuple(exps)] = coeffs.get(tuple(exps), Fraction(0)) + c
     return Polynomial(nvars, coeffs)

@@ -304,8 +304,11 @@ class UnimodularMap:
 
     def __post_init__(self):
         a = tuple(tuple(int(c) for c in row) for row in self.matrix)
+        if len(self.translation) != len(a):
+            raise ValueError(f"{len(a)} matrix rows but {len(self.translation)} translation entries")
         # An integer matrix has determinant +-1 exactly when its inverse is
-        # integral, so one elimination both checks and inverts it.
+        # integral, so one elimination both checks and inverts it (and
+        # raises ValueError when the matrix is not square).
         try:
             inv = exact.inverse(a)
         except ZeroDivisionError:

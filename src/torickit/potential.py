@@ -12,6 +12,11 @@ on the interior.  With h = 0 this is the canonical (Guillemin) potential
 of the polytope; on the unit interval it gives G = 1/(2x(1-x)) and on
 the standard simplex G(1/3, 1/3) = [[3, 3/2], [3/2, 3]].
 
+Every derivative of g is computed in one place, `_metric_rows`, over the
+rows of an (N, n) array: `metric_jets` feeds it in chunks and
+`metric_jet` is its one-row case.  h enters through its partials,
+compiled once per order into exponent and weight arrays.
+
 The inverse metric G^{-1} extends continuously by zero to the vertices,
 and 1/det G factors as delta(x) * prod_k lambda_k(x) with delta smooth
 and positive up to the boundary; the probe helpers below measure both
@@ -48,7 +53,6 @@ class SymplecticPotential:
             raise ValueError(
                 f"h has {self.h.nvars} variables, polytope dimension is {polytope.n}"
             )
-        self._h_cache: dict[tuple[int, ...], Polynomial] = {(): self.h}
         self._h_plans: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -58,29 +62,6 @@ class SymplecticPotential:
     @property
     def n(self) -> int:
         return self.polytope.n
-
-    def _h_derivative(self, indices: tuple[int, ...]) -> Polynomial:
-        key = tuple(sorted(indices))
-        poly = self._h_cache.get(key)
-        if poly is None:
-            poly = self._h_cache[key[:-1]] if key[:-1] in self._h_cache else None
-            if poly is None:
-                poly = self._h_derivative(key[:-1])
-            poly = poly.diff(key[-1])
-            self._h_cache[key] = poly
-        return poly
-
-    def h_tensor(self, order: int, x: np.ndarray) -> np.ndarray:
-        """Symmetric tensor of order-`order` partial derivatives of h at x."""
-        n = self.n
-        if order == 0:
-            return np.array(self.h(x))
-        out = np.zeros((n,) * order)
-        for combo in itertools.combinations_with_replacement(range(n), order):
-            val = self._h_derivative(combo)(x)
-            for perm in set(itertools.permutations(combo)):
-                out[perm] = val
-        return out
 
     def _h_plan(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """h's order-`order` partials compiled to arrays, once per potential.
@@ -93,7 +74,7 @@ class SymplecticPotential:
         if plan is None:
             n = self.n
             combos = list(itertools.combinations_with_replacement(range(n), order))
-            partials = [self._h_derivative(c) for c in combos]
+            partials = [self.h.derivative(c) for c in combos]
             monomials = sorted({e for d in partials for e in d.coeffs})
             exponents = np.array(monomials, dtype=float).reshape(len(monomials), n)
             weights = np.array(
@@ -127,58 +108,6 @@ class SymplecticPotential:
     def __repr__(self):
         tag = "guillemin" if self.h.is_zero else f"h degree {self.h.degree}"
         return f"SymplecticPotential({self.polytope!r}, {tag})"
-
-
-@dataclass(frozen=True)
-class PotentialJet:
-    """Derivatives of g at an interior point, up to the requested order."""
-
-    x: np.ndarray
-    order: int
-    value: float
-    grad: np.ndarray | None
-    hess: np.ndarray | None
-    d3: np.ndarray | None
-    d4: np.ndarray | None
-
-
-def potential_jet(pot: SymplecticPotential, x, order: int = 2) -> PotentialJet:
-    """Evaluate g and its derivatives (order <= 4) at an interior point.
-
-    The canonical part differentiates in closed form:
-        grad  += (1/2) sum u_k (log lambda_k + 1)
-        hess  += (1/2) sum u_k u_k / lambda_k
-        d3    -= (1/2) sum u_k^{(3)} / lambda_k^2
-        d4    += sum u_k^{(4)} / lambda_k^3
-    Raises OutsideDomain as soon as some lambda_k <= 0.
-    """
-    if not 0 <= order <= 4:
-        raise ValueError("jet order must be between 0 and 4")
-    x = np.asarray(x, dtype=float)
-    p = pot.polytope
-    lam = p.lambdas(x)
-    bad = np.nonzero(lam <= 0)[0]
-    if bad.size:
-        raise OutsideDomain(x, bad[0], lam[bad[0]])
-    u = p.normals_float
-
-    value = 0.5 * (float(np.sum(lam * np.log(lam))) + pot.h(x))
-    grad = hess = d3 = d4 = None
-    if order >= 1:
-        grad = 0.5 * (u.T @ (np.log(lam) + 1.0) + pot.h_tensor(1, x))
-    if order >= 2:
-        hess = 0.5 * (np.einsum("ki,kj,k->ij", u, u, 1.0 / lam) + pot.h_tensor(2, x))
-        hess = 0.5 * (hess + hess.T)
-    if order >= 3:
-        d3 = 0.5 * (
-            -np.einsum("ki,kj,kl,k->ijl", u, u, u, lam**-2.0) + pot.h_tensor(3, x)
-        )
-    if order >= 4:
-        d4 = 0.5 * (
-            2.0 * np.einsum("ki,kj,kl,km,k->ijlm", u, u, u, u, lam**-3.0)
-            + pot.h_tensor(4, x)
-        )
-    return PotentialJet(x=x, order=order, value=value, grad=grad, hess=hess, d3=d3, d4=d4)
 
 
 def _cofactor_matrix(g: np.ndarray) -> np.ndarray:
@@ -216,32 +145,22 @@ class MetricJet:
 
 
 def metric_jet(pot: SymplecticPotential, x, with_derivatives: bool = False) -> MetricJet:
-    """Hessian metric data at an interior point.
+    """Hessian metric data at an interior point: the one-row batch of
+    `_metric_rows`, plus cofactors from explicit minors.
 
     Positive definiteness is certified by a Cholesky factorisation;
-    failure raises NotPositiveDefinite carrying the offending eigenvalue.
+    failure raises NotPositiveDefinite carrying the smallest eigenvalue.
     """
-    jet = potential_jet(pot, x, order=4 if with_derivatives else 2)
-    g = jet.hess
-    n = g.shape[0]
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        eig = float(np.linalg.eigvalsh(g)[0])
-        raise NotPositiveDefinite(np.asarray(x, dtype=float), eig) from None
-    det_g = float(np.prod(np.diag(chol)) ** 2)
-    g_inv = np.linalg.solve(g, np.eye(n))
-    # One Newton refinement step keeps G*G_inv - I near the rounding floor.
-    g_inv = g_inv @ (2.0 * np.eye(n) - g @ g_inv)
-    g_inv = 0.5 * (g_inv + g_inv.T)
+    x = np.asarray(x, dtype=float)
+    b = _metric_rows(pot, x[None], with_derivatives)
     return MetricJet(
-        x=jet.x,
-        G=g,
-        G_inv=g_inv,
-        det_G=det_g,
-        cof=_cofactor_matrix(g),
-        dG=jet.d3,
-        d2G=jet.d4,
+        x=x,
+        G=b.G[0],
+        G_inv=b.G_inv[0],
+        det_G=float(b.det_G[0]),
+        cof=_cofactor_matrix(b.G[0]),
+        dG=b.dG[0] if with_derivatives else None,
+        d2G=b.d2G[0] if with_derivatives else None,
     )
 
 
@@ -266,10 +185,16 @@ class MetricBatch:
 
 
 def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool) -> MetricBatch:
-    """The jet of `metric_jet` at every row of x at once: lambda, the
-    derivatives of g in closed form (the same formulas as `potential_jet`,
-    with h through its compiled partials), a batched Cholesky certificate,
-    G^{-1} with one Newton refinement step, and det G."""
+    """Metric data at every row of x at once.
+
+    lambda, then the derivatives of g of order 2 to 4 in closed form,
+        order r:  (1/2) (-1)^r (r-2)! sum_k u_k^{(r)} / lambda_k^{r-1}
+                  + (1/2) (order-r partials of h),
+    then a batched Cholesky certificate, G^{-1} with one Newton refinement
+    step, and det G.  Raises OutsideDomain for the first row with some
+    lambda_k <= 0, else NotPositiveDefinite for the first row whose
+    smallest eigenvalue is not positive.
+    """
     lam = pot.lambdas(x)
     bad = lam <= 0
     if bad.any():
@@ -278,7 +203,6 @@ def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool
         raise OutsideDomain(x[i], k, lam[i, k])
     derivs = []
     for r in range(2, 5 if with_derivatives else 3):
-        # order r >= 2: (1/2) (-1)^r (r-2)! sum_k u_k^{(r)} / lambda_k^{r-1}
         d = 0.5 * (-1) ** r * factorial(r - 2) * lam ** (1.0 - r) @ pot._normal_powers[r]
         if not pot.h.is_zero:
             d = d + 0.5 * pot._h_rows(r, x)

@@ -1,10 +1,13 @@
 """Independent oracles the tests freeze expected values against.
 
 Nothing here touches the package's own derivative or quadrature code:
-curvature comes from sympy symbolic differentiation, moments from
-scipy adaptive quadrature over a halfspace description, areas from the
-shoelace formula.
+curvature comes from sympy symbolic differentiation or from a metric jet
+built entry by entry, moments from scipy adaptive quadrature over a
+halfspace description, areas from the shoelace formula.
 """
+
+import itertools
+from math import factorial, prod
 
 import numpy as np
 
@@ -52,6 +55,69 @@ def symbolic_scalar_field(normals, offsets, h_terms=()):
     )
     fn = sp.lambdify(xs, sp.simplify(s), "numpy")
     return lambda x: float(fn(*x))
+
+
+def _monomial_partial(exponents, coeff, index, x):
+    """The partial of coeff * prod x_i^e_i along `index`, by the power rule."""
+    e = list(exponents)
+    c = float(coeff)
+    for i in index:
+        if e[i] == 0:
+            return 0.0
+        c *= e[i]
+        e[i] -= 1
+    return c * prod(xi**ei for xi, ei in zip(x, e))
+
+
+def potential_spec(pot):
+    """(normals, offsets, h coefficients) of a potential, as the reference
+    jet takes them."""
+    forms = pot.polytope.forms
+    return [f.u for f in forms], [f.b for f in forms], pot.h.coeffs
+
+
+def reference_jet(normals, offsets, h_coeffs, x):
+    """G, dG, d2G of g = (sum lambda_k log lambda_k + h)/2 at one point.
+
+    h_coeffs maps exponent tuples to coefficients.  Every entry of the
+    order-r derivative (r = 2, 3, 4) is computed on its own:
+    (1/2) ((-1)^r (r-2)! sum_k prod_i u_k[i] / lambda_k^(r-1) + the
+    hand-differentiated monomials of h).
+    """
+    x = [float(c) for c in x]
+    u = [[float(c) for c in row] for row in normals]
+    lam = [sum(a * b for a, b in zip(row, x)) - float(b) for row, b in zip(u, offsets)]
+    n = len(x)
+
+    def entry(index):
+        r = len(index)
+        canonical = sum(
+            prod(row[i] for i in index) / l ** (r - 1) for row, l in zip(u, lam)
+        ) * (-1) ** r * factorial(r - 2)
+        h = sum(_monomial_partial(e, c, index, x) for e, c in h_coeffs.items())
+        return 0.5 * (canonical + h)
+
+    def tensor(r):
+        out = np.empty((n,) * r)
+        for index in itertools.product(range(n), repeat=r):
+            out[index] = entry(index)
+        return out
+
+    return tensor(2), tensor(3), tensor(4)
+
+
+def jet_curvature(normals, offsets, h_coeffs, x):
+    """s = -sum_jk d_j d_k G^{jk}, with the derivatives of G^{-1} expanded
+    through the reference jet one (j, k) pair at a time."""
+    g, dg, d2g = reference_jet(normals, offsets, h_coeffs, x)
+    gi = np.linalg.inv(g)
+    total = 0.0
+    for j, k in itertools.product(range(len(g)), repeat=2):
+        a1 = gi @ dg[k] @ gi @ dg[j] @ gi
+        a2 = gi @ dg[j] @ gi @ dg[k] @ gi
+        a3 = gi @ d2g[k, j] @ gi
+        total -= a1[j, k] + a2[j, k] - a3[j, k]
+    return total
 
 
 # blowup_cp2(1) anticanonical quadrilateral {x >= -1, y >= -1, |x+y| <= 1},

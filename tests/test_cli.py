@@ -1,16 +1,22 @@
 """End-to-end command-line behavior: exit codes, report formats, files."""
 
+import contextlib
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from torickit import Polynomial, SymplecticPotential, catalog, interior_grid
+from torickit import CATALOG_DEFAULTS, Polynomial, SymplecticPotential, catalog, interior_grid
 from torickit.cli import main
 
 F = Fraction
@@ -24,6 +30,25 @@ FAILING_TRIANGLE = {
         {"u": [0, 1], "b": "0"},
         {"u": [-1, -2], "b": "-2"},
     ],
+}
+
+
+def simplex_with_h(h):
+    """A potential document on simplex(2) with the given h document."""
+    return {"polytope": catalog("simplex", 2).to_json(), "h": h}
+
+
+def monomial(exponents, coeff="1"):
+    return {"monomials": [{"exponents": exponents, "coeff": coeff}]}
+
+
+# Each of these once crashed or was silently coerced by the h parser.
+BAD_H = {
+    "monomials_not_a_list": {"monomials": 5},
+    "negative_exponent": monomial([-1, 0]),
+    "float_exponent": monomial([1.7, 0]),
+    "bool_exponent": monomial([True, 0]),
+    "bool_coefficient": monomial([1, 0], True),
 }
 
 
@@ -217,6 +242,15 @@ class TestCurvature:
         assert out == ""
         assert err.startswith("error:") and "--random" in err
 
+    @pytest.mark.parametrize("h", BAD_H.values(), ids=BAD_H.keys())
+    def test_malformed_h_is_rejected(self, capsys, tmp_path, h):
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(simplex_with_h(h)))
+        rc, out, err = run(capsys, "curvature", "--input", str(path), "--grid", "3")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_random_samples_keep_the_grid_fit(self, capsys):
         rc, out, _ = run(
             capsys, "curvature", "--catalog", "hirzebruch(1)", "--random", "7", "--grid", "6"
@@ -349,6 +383,25 @@ class TestPlumbing:
             main([])
         assert exc.value.code == 2
 
+    def test_module_entry_point(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+
+        def torickit(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "torickit.cli", *argv],
+                capture_output=True, text=True, env=env,
+            )
+
+        proc = torickit("delzant", "--catalog", "simplex(2)")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["is_delzant"] is True
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(simplex_with_h(BAD_H["monomials_not_a_list"])))
+        proc = torickit("curvature", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.skipif(shutil.which("torickit") is None, reason="script not on PATH")
     def test_console_script(self):
         proc = subprocess.run(
@@ -358,3 +411,82 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is_delzant"] is True
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under fuzzed documents: every input ends in an exit
+# code from 0 to 4, never in an exception
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+
+
+@st.composite
+def mostly(draw, valid, good=3, bad=JUNK):
+    """A draw from `valid`, or one time in good + 1 from `bad`."""
+    return draw(bad if draw(st.integers(0, good)) == 0 else valid)
+
+
+def h_documents(n):
+    exponents = mostly(
+        st.lists(mostly(st.integers(-1, 4), good=8), min_size=n, max_size=n),
+        good=6,
+        bad=st.one_of(JUNK, st.lists(st.integers(0, 2), max_size=n + 1)),
+    )
+    coeff = mostly(
+        st.one_of(st.integers(-3, 3), st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 99))),
+        good=8,
+    )
+    monomial = mostly(st.fixed_dictionaries({"exponents": exponents, "coeff": coeff}), good=10)
+    return mostly(
+        st.one_of(st.none(), st.fixed_dictionaries({"monomials": mostly(st.lists(monomial, max_size=3), good=8)})),
+        good=8,
+    )
+
+
+FORM = st.fixed_dictionaries({
+    "u": mostly(st.lists(mostly(st.integers(-2, 2), good=10), min_size=1, max_size=3), good=10),
+    "b": mostly(st.one_of(st.integers(-2, 2), st.sampled_from(["0", "-1", "1/2", "x"])), good=10),
+})
+POLYTOPE_DOCUMENTS = mostly(
+    st.fixed_dictionaries({
+        "n": mostly(st.integers(1, 3), good=10),
+        "forms": mostly(st.lists(FORM, max_size=6), good=10),
+    }),
+    good=8,
+)
+
+
+@st.composite
+def documents(draw):
+    """Half: a catalog polytope with a fuzzed h.  Half: a fuzzed polytope,
+    bare or with a fuzzed h."""
+    if draw(st.booleans()):
+        name, params = draw(st.sampled_from(CATALOG_DEFAULTS))
+        p = catalog(name, *params)
+        return {"polytope": p.to_json(), "h": draw(h_documents(p.n))}
+    doc = draw(POLYTOPE_DOCUMENTS)
+    return {"polytope": doc, "h": draw(h_documents(2))} if draw(st.booleans()) else doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=documents())
+@example(doc=simplex_with_h(BAD_H["monomials_not_a_list"]))
+@example(doc=simplex_with_h(BAD_H["negative_exponent"]))
+@example(doc=simplex_with_h(BAD_H["float_exponent"]))
+@example(doc=simplex_with_h(BAD_H["bool_exponent"]))
+@example(doc=simplex_with_h(BAD_H["bool_coefficient"]))
+def test_fuzzed_documents_keep_the_exit_code_contract(fuzz_path, doc):
+    fuzz_path.write_text(json.dumps(doc))
+    for command in (["delzant"], ["curvature", "--grid", "3"], ["soliton"],
+                    ["verify", "--grid", "3", "--from-soliton"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main([*command, "--input", str(fuzz_path)])
+        assert rc in range(5)

@@ -1,6 +1,7 @@
-"""The batched metric-and-curvature engine: agreement with the one-point
-API, an exact rational oracle, error payloads, chunked memory, and
-unimodular covariance as a property test."""
+"""The batched metric-and-curvature engine: the batch and the one-point
+API against an entry-by-entry reference jet, an exact rational oracle,
+error payloads, chunked memory, and unimodular covariance as a property
+test."""
 
 import tracemalloc
 from fractions import Fraction
@@ -25,8 +26,8 @@ from torickit import (
     soliton_identity_residual,
 )
 from torickit import sampling
-from torickit.curvature import _jet_curvature
 
+import oracles
 from strategies import lattice_maps
 
 F = Fraction
@@ -102,22 +103,35 @@ class TestExactOracle:
 
 
 class TestBatchEquivalence:
+    """The batch and the one-point API against the entry-by-entry oracle."""
+
     @staticmethod
     def check(pot):
         margin = 0.02 * sampling.diameter(pot.polytope)
         pts = random_interior_points(pot.polytope, 300, margin=margin, rng=6)
+        spec = oracles.potential_spec(pot)
+        g = np.array([oracles.reference_jet(*spec, x)[0] for x in pts])
         single = [metric_jet(pot, x) for x in pts]
-        assert np.allclose(batch(pot, pts, "G"), [j.G for j in single], rtol=1e-13, atol=0)
-        assert np.allclose(batch(pot, pts, "G_inv"), [j.G_inv for j in single], rtol=1e-12, atol=0)
-        assert np.allclose(batch(pot, pts, "det_G"), [j.det_G for j in single], rtol=1e-12, atol=0)
-        want = [_jet_curvature(pot, x) for x in pts]
+        for got in (batch(pot, pts, "G"), [j.G for j in single]):
+            assert np.allclose(got, g, rtol=1e-13, atol=0)
+        for got in (batch(pot, pts, "G_inv"), [j.G_inv for j in single]):
+            assert np.allclose(got, np.linalg.inv(g), rtol=1e-12, atol=0)
+        for got in (batch(pot, pts, "det_G"), [j.det_G for j in single]):
+            assert np.allclose(got, np.linalg.det(g), rtol=1e-12, atol=0)
+        want = [oracles.jet_curvature(*spec, x) for x in pts]
         assert np.allclose(scalar_curvatures(pot, pts), want, rtol=1e-12, atol=1e-12)
+        assert np.allclose([scalar_curvature(pot, x) for x in pts], want, rtol=1e-12, atol=1e-12)
 
     def test_catalog(self, catalog_potential):
         self.check(catalog_potential)
 
     def test_perturbed_potential(self):
         self.check(perturbed_simplex())
+
+    def test_perturbed_cube(self):
+        # cubic exponents and partials in three distinct directions
+        h = Polynomial(3, {(3, 1, 1): F(1, 20), (1, 2, 2): F(1, 30)})
+        self.check(SymplecticPotential(catalog("cube", 3), h))
 
 
 class TestBatchErrors:

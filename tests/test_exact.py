@@ -100,6 +100,14 @@ def test_inverse_roundtrip():
             exact.inverse(a)
 
 
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1, 2]]],
+                         ids=["1x2", "3x2", "ragged"])
+def test_non_square_matrices_are_refused(rows):
+    for square_only in (exact.det, exact.inverse, lambda a: exact.solve(a, [1] * len(a))):
+        with pytest.raises(ValueError, match="not a square matrix"):
+            square_only(rows)
+
+
 def test_kernel_vector():
     # rank-1 system in 2 unknowns: kernel is the perpendicular direction
     v = exact.kernel_vector([[Fraction(1), Fraction(2)]], 2)

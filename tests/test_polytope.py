@@ -212,6 +212,17 @@ class TestUnimodularMap:
             UnimodularMap(((1, 2), (2, 4)), (F(0), F(0)))
         assert UnimodularMap(((1, 1), (0, -1)), (F(0), F(0))).matrix_inverse == ((1, 1), (0, -1))
 
+    def test_shape_validated(self):
+        # eliminating (1 2 | 1) in its first column leaves the integral
+        # "inverse" (2 1): only the shape check refuses that matrix
+        with pytest.raises(ValueError, match="not a square matrix"):
+            UnimodularMap(((1, 2),), (F(0),))
+        with pytest.raises(ValueError, match="not a square matrix"):
+            UnimodularMap(((1, 0), (0, 1), (1, 1)), (F(0),) * 3)
+        for shift in ((F(0),), (F(0),) * 3):
+            with pytest.raises(ValueError, match="translation"):
+                UnimodularMap(((1, 0), (0, 1)), shift)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_lattice_maps_preserve_exact_invariants(self, data):

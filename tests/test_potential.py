@@ -21,7 +21,6 @@ from torickit import (
     metric_jet,
     normalize_at_vertex,
     potential_from_json,
-    potential_jet,
     vertex_vanishing_probe,
 )
 
@@ -42,72 +41,70 @@ class TestJets:
     def test_interval_closed_form(self):
         pot = segment_potential()
         for x in np.linspace(0.05, 0.95, 9):
-            jet = potential_jet(pot, np.array([x]), order=4)
+            jet = metric_jet(pot, np.array([x]), with_derivatives=True)
             # G = 1/(2x(1-x)) and its chain-rule derivatives
-            assert np.isclose(jet.hess[0, 0], 1.0 / (2 * x * (1 - x)), rtol=1e-13)
-            assert np.isclose(jet.d3[0, 0, 0], -0.5 * (1 / x**2 - 1 / (1 - x) ** 2), rtol=1e-12)
-            assert np.isclose(jet.d4[0, 0, 0, 0], 1 / x**3 + 1 / (1 - x) ** 3, rtol=1e-12)
+            assert np.isclose(jet.G[0, 0], 1.0 / (2 * x * (1 - x)), rtol=1e-13)
+            assert np.isclose(jet.dG[0, 0, 0], -0.5 * (1 / x**2 - 1 / (1 - x) ** 2), rtol=1e-12)
+            assert np.isclose(jet.d2G[0, 0, 0, 0], 1 / x**3 + 1 / (1 - x) ** 3, rtol=1e-12)
 
     def test_cp2_center(self):
-        jet = potential_jet(cp2_potential(), np.array([1 / 3, 1 / 3]))
-        assert np.allclose(jet.hess, [[3.0, 1.5], [1.5, 3.0]], atol=1e-13)
+        jet = metric_jet(cp2_potential(), np.array([1 / 3, 1 / 3]))
+        assert np.allclose(jet.G, [[3.0, 1.5], [1.5, 3.0]], atol=1e-13)
 
     def test_gradient_against_finite_differences(self, catalog_potential):
+        # dG, the gradient of G, against central differences of G
         pot = catalog_potential
         pts = interior_grid(pot.polytope, 4, margin=0.15)
-        value = lambda x: potential_jet(pot, x, order=0).value
         for x in pts[:: max(1, len(pts) // 5)]:
-            jet = potential_jet(pot, x, order=1)
-            for i in range(pot.n):
+            jet = metric_jet(pot, x, with_derivatives=True)
+            for l in range(pot.n):
                 e = np.zeros(pot.n)
-                e[i] = 1e-5
-                fd = (value(x + e) - value(x - e)) / 2e-5
-                assert np.isclose(jet.grad[i], fd, rtol=1e-5, atol=1e-7)
+                e[l] = 1e-5
+                fd = (metric_jet(pot, x + e).G - metric_jet(pot, x - e).G) / 2e-5
+                assert np.allclose(jet.dG[:, :, l], fd, rtol=1e-5, atol=1e-7)
 
     def test_higher_jets_against_finite_differences(self):
         pot = SymplecticPotential(
             catalog("simplex", 2), Polynomial(2, {(2, 2): F(1, 100)})
         )
         x = np.array([0.31, 0.22])
-        jet = potential_jet(pot, x, order=4)
+        jet = metric_jet(pot, x, with_derivatives=True)
         h = 1e-4
         for l in range(2):
             e = np.zeros(2)
             e[l] = h
-            dh = (
-                potential_jet(pot, x + e).hess - potential_jet(pot, x - e).hess
-            ) / (2 * h)
-            assert np.allclose(jet.d3[:, :, l], dh, rtol=1e-6, atol=1e-6)
+            dh = (metric_jet(pot, x + e).G - metric_jet(pot, x - e).G) / (2 * h)
+            assert np.allclose(jet.dG[:, :, l], dh, rtol=1e-6, atol=1e-6)
             dd3 = (
-                potential_jet(pot, x + e, order=3).d3
-                - potential_jet(pot, x - e, order=3).d3
+                metric_jet(pot, x + e, with_derivatives=True).dG
+                - metric_jet(pot, x - e, with_derivatives=True).dG
             ) / (2 * h)
-            assert np.allclose(jet.d4[:, :, :, l], dd3, rtol=1e-5, atol=1e-4)
+            assert np.allclose(jet.d2G[:, :, :, l], dd3, rtol=1e-5, atol=1e-4)
 
     def test_h_tensor_hand_case(self):
-        # h = (3/2) x^2 y
+        # h = (3/2) x^2 y at (2, 5) and (1, -1)
         pot = SymplecticPotential(
             catalog("cube", 2, 10), Polynomial(2, {(2, 1): F(3, 2)})
         )
-        x = np.array([2.0, 5.0])
-        assert pot.h_tensor(0, x) == pytest.approx(30.0)
-        assert np.allclose(pot.h_tensor(1, x), [30.0, 6.0])
-        assert np.allclose(pot.h_tensor(2, x), [[15.0, 6.0], [6.0, 0.0]])
-        t3 = pot.h_tensor(3, x)
-        assert t3[0, 0, 1] == t3[1, 0, 0] == t3[0, 1, 0] == pytest.approx(3.0)
-        assert t3[0, 0, 0] == pytest.approx(0.0)
+        x = np.array([[2.0, 5.0], [1.0, -1.0]])
+        assert np.allclose(pot._h_rows(0, x), [[30.0], [-1.5]])
+        assert np.allclose(pot._h_rows(1, x), [[30.0, 6.0], [-3.0, 1.5]])
+        assert np.allclose(
+            pot._h_rows(2, x).reshape(2, 2, 2),
+            [[[15.0, 6.0], [6.0, 0.0]], [[-3.0, 3.0], [3.0, 0.0]]],
+        )
+        t3 = pot._h_rows(3, x).reshape(2, 2, 2, 2)
+        for row in t3:
+            assert row[0, 0, 1] == row[1, 0, 0] == row[0, 1, 0] == pytest.approx(3.0)
+            assert row[0, 0, 0] == row[0, 1, 1] == row[1, 1, 1] == 0.0
 
     def test_outside_domain(self):
         pot = cp2_potential()
         with pytest.raises(OutsideDomain) as exc:
-            potential_jet(pot, np.array([0.8, 0.8]))
+            metric_jet(pot, np.array([0.8, 0.8]))
         assert exc.value.form_index == 2
         with pytest.raises(OutsideDomain):
-            potential_jet(pot, np.array([0.0, 0.5]))  # boundary itself is out
-
-    def test_jet_order_validation(self):
-        with pytest.raises(ValueError):
-            potential_jet(segment_potential(), np.array([0.5]), order=5)
+            metric_jet(pot, np.array([0.0, 0.5]))  # boundary itself is out
 
 
 class TestMetricJet:
@@ -135,13 +132,21 @@ class TestMetricJet:
         assert np.allclose(mj.G_inv, want, atol=1e-14)
 
     def test_derivatives_flag(self):
-        pot = cp2_potential()
-        x = np.array([0.3, 0.25])
-        mj = metric_jet(pot, x, with_derivatives=True)
-        jet = potential_jet(pot, x, order=4)
-        assert np.allclose(mj.dG, jet.d3)
-        assert np.allclose(mj.d2G, jet.d4)
-        assert metric_jet(pot, x).dG is None
+        simplex = catalog("simplex", 2)
+        cube = catalog("cube", 3)
+        cases = [
+            (SymplecticPotential.guillemin(simplex), [0.3, 0.25]),
+            (SymplecticPotential(simplex, Polynomial(2, {(2, 2): F(1, 100)})), [0.3, 0.25]),
+            (SymplecticPotential(cube, Polynomial(3, {(3, 1, 1): F(1, 20)})), [0.3, 0.6, 0.45]),
+        ]
+        for pot, x in cases:
+            x = np.array(x)
+            mj = metric_jet(pot, x, with_derivatives=True)
+            g, dg, d2g = oracles.reference_jet(*oracles.potential_spec(pot), x)
+            assert np.allclose(mj.G, g, rtol=1e-13, atol=0)
+            assert np.allclose(mj.dG, dg, rtol=1e-13, atol=0)
+            assert np.allclose(mj.d2G, d2g, rtol=1e-13, atol=0)
+            assert metric_jet(pot, x).dG is None
 
     def test_not_positive_definite(self):
         # h = -4 x^2 drives G = 1/(2x(1-x)) - 4 negative at the center

@@ -12,8 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from strategies import lattice_maps
 from torickit import exact
 from torickit import (
     AffineForm,
@@ -351,6 +354,23 @@ class TestEquivariance:
                 a_map = soliton_vector(fano_normalize(q)).a
                 want = np.linalg.inv(A.astype(float)).T @ a_ref
                 assert np.allclose(a_map, want, atol=1e-8)
+
+
+FANO_2D = [("simplex", (2,)), ("cube", (2,)), ("hirzebruch", (0,)), ("hirzebruch", (1,)),
+           ("blowup_cp2", (1,)), ("blowup_cp2", (2,)), ("blowup_cp2", (3,))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(FANO_2D), lattice_maps(2))
+def test_soliton_vector_is_covariant(entry, lattice_map):
+    # F(a) = integral_P e^{<a,x>} over x -> A x is minimised at A^{-T} a
+    name, params = entry
+    p = catalog(name, *params)
+    um = UnimodularMap(lattice_map.matrix, (0, 0))
+    a = soliton_vector(fano_normalize(p)).a
+    got = soliton_vector(fano_normalize(um.apply_polytope(p))).a
+    want = np.array(um.matrix_inverse, dtype=float).T @ a
+    assert np.max(np.abs(got - want)) <= 1e-9
 
 
 class TestVerdicts:
