@@ -18,22 +18,15 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import sampling
+from . import exact, sampling
 from .curvature import ScalarField, extremality_from_samples, scalar_curvatures
-from .errors import BadMargin, BadParams, ParseError, ToricError, UnknownName
-from .polytope import (
-    DelzantPolytope,
-    catalog,
-    check_delzant,
-    polytope_from_json,
-)
+from .errors import BadMargin, BadParams, OutOfFloatRange, ParseError, ToricError, UnknownName
+from .polytope import DelzantPolytope, catalog, check_delzant, polytope_from_json
 from .potential import SymplecticPotential, potential_from_json
-from .soliton import Conclusion, fano_normalize, soliton_vector, verify_einstein
+from .soliton import NEWTON_TOL, Conclusion, fano_normalize, soliton_vector, verify_einstein
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -50,52 +43,28 @@ CONCLUSION_EXIT = {
 _CATALOG_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\(([^)]*)\))?\s*$")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: str | None
-    catalog: str | None
-    grid: int
-    tol: float | None
-    margin: float | None
-    fmt: str
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "catalog": self.catalog,
-            "grid": self.grid,
-            "tol": self.tol,
-            "margin": self.margin,
-            "format": self.fmt,
-            "seed": self.seed,
-        }
-
-
-def _config_from_args(args) -> RunConfig:
-    grid = getattr(args, "grid", 20)
-    if grid < 3:
-        raise ParseError(f"grid resolution must be at least 3 per axis, got {grid}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (0 < tol < math.inf):
-        raise ParseError(f"tolerance must be positive and finite, got {tol}")
-    margin = getattr(args, "margin", None)
-    if margin is not None and not (0 < margin < math.inf):
-        raise ParseError(f"margin must be positive and finite, got {margin}")
+def _config(args) -> dict:
+    """Check the numeric options; the run configuration echoed in JSON reports."""
+    if args.grid < 3:
+        raise ParseError(f"grid resolution must be at least 3 per axis, got {args.grid}")
+    if args.tol is not None and not (0 < args.tol < math.inf):
+        raise ParseError(f"tolerance must be positive and finite, got {args.tol}")
+    if args.margin is not None and not (0 < args.margin < math.inf):
+        raise ParseError(f"margin must be positive and finite, got {args.margin}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     if getattr(args, "random", 0) < 0:
         raise ParseError(f"--random needs a point count >= 0, got {args.random}")
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        catalog=getattr(args, "catalog", None),
-        grid=grid,
-        tol=tol,
-        margin=margin,
-        fmt=getattr(args, "format", "json"),
-        seed=getattr(args, "seed", 0),
-    )
+    return {
+        "command": args.command,
+        "input": args.input,
+        "catalog": args.catalog,
+        "grid": args.grid,
+        "tol": args.tol,
+        "margin": args.margin,
+        "format": args.format,
+        "seed": args.seed,
+    }
 
 
 def _parse_catalog_name(text: str) -> DelzantPolytope:
@@ -103,61 +72,29 @@ def _parse_catalog_name(text: str) -> DelzantPolytope:
     if m is None:
         raise ParseError(f"cannot parse catalog name {text!r}")
     name, argstr = m.group(1), m.group(2)
-    params = []
-    for tok in (argstr or "").split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            params.append(int(tok))
-        except ValueError:
-            try:
-                params.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError) as e:
-                raise ParseError(f"bad catalog parameter {tok!r}") from e
+    with exact.parsing(f"bad catalog parameters {argstr!r}"):
+        params = [exact.frac(tok) for tok in (argstr or "").split(",") if tok.strip()]
     return catalog(name, *params)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed JSON in {path}: {e}") from e
 
 
 def _load_potential(args) -> SymplecticPotential:
     """Potential from --input (potential or bare polytope document) or
     --catalog (Guillemin)."""
-    if getattr(args, "catalog", None) and getattr(args, "input", None):
+    if args.catalog and args.input:
         raise ParseError("pass only one of --input or --catalog")
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return SymplecticPotential.guillemin(_parse_catalog_name(args.catalog))
-    if getattr(args, "input", None):
-        doc = _load_json(args.input)
-        if isinstance(doc, dict) and "polytope" in doc:
-            return potential_from_json(doc)
-        return SymplecticPotential.guillemin(polytope_from_json(doc))
-    raise ParseError("one of --input or --catalog is required")
-
-
-def _load_polytope(args) -> DelzantPolytope:
-    return _load_potential(args).polytope
-
-
-def _emit(text: str, args) -> None:
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(doc: dict, args) -> None:
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args)
+    if not args.input:
+        raise ParseError("one of --input or --catalog is required")
+    try:
+        with open(args.input, "rb") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ParseError(f"cannot read {args.input}: {e}") from e
+    doc = exact.document(text, "input")
+    if "polytope" in doc:
+        return potential_from_json(doc)
+    return SymplecticPotential.guillemin(polytope_from_json(doc))
 
 
 def _csv_cell(c) -> str:
@@ -166,106 +103,86 @@ def _csv_cell(c) -> str:
     return repr(float(c)) if isinstance(c, (float, np.floating)) else str(c)
 
 
-def _csv_rows(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
+def _report(args, doc: dict, header: list[str], rows) -> None:
+    """Write `doc` as JSON, or `header` and `rows` as CSV, to --output or stdout.
+
+    `rows` is read only for CSV.
+    """
+    if args.format == "csv":
+        lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_delzant(args) -> int:
-    config = _config_from_args(args)
-    p = _load_polytope(args)
+    config = _config(args)
+    p = _load_potential(args).polytope
     report = check_delzant(p)
-    doc = {"config": config.to_json(), "polytope": p.to_json()}
-    doc.update(report.to_json())
-    if config.fmt == "csv":
-        header = [f"x_{i + 1}" for i in range(p.n)] + [
-            "facet_count",
-            "edge_count",
-            "edge_det",
-            "delzant",
-        ]
-        rows = [
-            [float(c) for c in r.coordinates]
-            + [r.facet_count, r.edge_count, r.edge_det, r.ok]
-            for r in report.vertex_reports
-        ]
-        _emit(_csv_rows(header, rows), args)
-    else:
-        _emit_json(doc, args)
+    doc = {"config": config, "polytope": p.to_json(), **report.to_json()}
+    header = [f"x_{i + 1}" for i in range(p.n)] + ["facet_count", "edge_count", "edge_det", "delzant"]
+    rows = (
+        [*exact.floats(r.coordinates), r.facet_count, r.edge_count, r.edge_det, r.ok]
+        for r in report.vertex_reports
+    )
+    _report(args, doc, header, rows)
     return EXIT_OK if report.is_delzant else EXIT_CHECK_FAILED
 
 
 def cmd_curvature(args) -> int:
-    config = _config_from_args(args)
+    config = _config(args)
     pot = _load_potential(args)
-    method = getattr(args, "method", "analytic")
-    field = ScalarField(pot, method=method)
-    if getattr(args, "random", 0):
+    field = ScalarField(pot, method=args.method)
+    if args.random:
         pts = sampling.random_interior_points(
-            pot.polytope, args.random, margin=config.margin, rng=config.seed
+            pot.polytope, args.random, margin=args.margin, rng=args.seed
         )
     else:
-        pts = sampling.interior_grid(pot.polytope, config.grid, config.margin)
+        pts = sampling.interior_grid(pot.polytope, args.grid, args.margin)
     values = field.sample(pts)
     # The affinity test always fits analytic curvature on the grid.
-    if getattr(args, "random", 0) or method != "analytic":
-        grid_pts = sampling.interior_grid(pot.polytope, config.grid, config.margin)
+    if args.random or args.method != "analytic":
+        grid_pts = sampling.interior_grid(pot.polytope, args.grid, args.margin)
         grid_values = scalar_curvatures(pot, grid_pts)
     else:
         grid_pts, grid_values = pts, values
-    is_extremal, fit = extremality_from_samples(grid_pts, grid_values, config.tol)
-    if config.fmt == "csv":
-        header = [f"x_{i + 1}" for i in range(pot.n)] + ["s"]
-        body = _csv_rows(header, [list(map(float, x)) + [v] for x, v in zip(pts, values)])
-        summary = (
-            f"# affine_fit constant={fit.constant!r}"
-            f" gradient={[float(c) for c in fit.gradient]!r}"
-            f" max_residual={fit.max_residual!r}"
-            f" is_extremal={is_extremal}\n"
-        )
-        _emit(body + summary, args)
-    else:
-        doc = {
-            "config": config.to_json(),
-            "samples": [list(map(float, x)) + [float(v)] for x, v in zip(pts, values)],
-            "affine_fit": fit.to_json(),
-            "is_extremal": is_extremal,
-        }
-        _emit_json(doc, args)
+    is_extremal, fit = extremality_from_samples(grid_pts, grid_values, args.tol)
+    samples = [list(map(float, x)) + [float(v)] for x, v in zip(pts, values)]
+    doc = {"config": config, "samples": samples, "affine_fit": fit.to_json(), "is_extremal": is_extremal}
+    summary = (
+        f"# affine_fit constant={fit.constant!r}"
+        f" gradient={[float(c) for c in fit.gradient]!r}"
+        f" max_residual={fit.max_residual!r}"
+        f" is_extremal={is_extremal}"
+    )
+    header = [f"x_{i + 1}" for i in range(pot.n)] + ["s"]
+    _report(args, doc, header, samples + [[summary]])
     return EXIT_OK if is_extremal else EXIT_CHECK_FAILED
 
 
 def cmd_soliton(args) -> int:
-    config = _config_from_args(args)
-    p = _load_polytope(args)
-    fp = fano_normalize(p)
-    tol = config.tol if config.tol is not None else 1e-10
-    data = soliton_vector(fp, tol=tol)
-    doc = {
-        "config": config.to_json(),
-        "anticanonical": fp.to_json(),
-        "soliton": data.to_json(),
-    }
-    if config.fmt == "csv":
-        header = [f"a_{i + 1}" for i in range(p.n)] + ["gradient_residual", "iterations"]
-        row = [float(c) for c in data.a] + [data.gradient_residual, data.iterations]
-        _emit(_csv_rows(header, [row]), args)
-    else:
-        _emit_json(doc, args)
+    config = _config(args)
+    fp = fano_normalize(_load_potential(args).polytope)
+    data = soliton_vector(fp, tol=NEWTON_TOL if args.tol is None else args.tol)
+    doc = {"config": config, "anticanonical": fp.to_json(), "soliton": data.to_json()}
+    header = [f"a_{i + 1}" for i in range(fp.n)] + ["gradient_residual", "iterations"]
+    _report(args, doc, header, [[*map(float, data.a), data.gradient_residual, data.iterations]])
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    config = _config_from_args(args)
+    config = _config(args)
     pot = _load_potential(args)
     if args.from_soliton:
-        fp = fano_normalize(pot.polytope)
-        a = soliton_vector(fp).a
+        a = soliton_vector(fano_normalize(pot.polytope)).a
     elif args.a is not None:
         if len(args.a) != pot.n:
             raise ParseError(
@@ -277,29 +194,17 @@ def cmd_verify(args) -> int:
     else:
         raise ParseError("one of -a or --from-soliton is required")
     verdict = verify_einstein(
-        pot,
-        a,
-        grid=config.grid,
-        margin=config.margin,
-        affinity_tol=config.tol,
-        vertex_tol=config.tol,
+        pot, a, grid=args.grid, margin=args.margin, affinity_tol=args.tol, vertex_tol=args.tol
     )
-    doc = {"config": config.to_json(), "a": [float(c) for c in a]}
-    doc.update(verdict.to_json())
-    if config.fmt == "csv":
-        header = (
-            ["conclusion", "constant"]
-            + [f"gradient_{i + 1}" for i in range(pot.n)]
-            + ["max_residual", "rank"]
-        )
-        row = (
-            [verdict.conclusion.value, verdict.fit.constant]
-            + [float(c) for c in verdict.fit.gradient]
-            + [verdict.fit.max_residual, verdict.rank]
-        )
-        _emit(_csv_rows(header, [row]), args)
-    else:
-        _emit_json(doc, args)
+    doc = {"config": config, "a": [float(c) for c in a], **verdict.to_json()}
+    header = (
+        ["conclusion", "constant"]
+        + [f"gradient_{i + 1}" for i in range(pot.n)]
+        + ["max_residual", "rank"]
+    )
+    fit = verdict.fit
+    row = [verdict.conclusion.value, fit.constant, *map(float, fit.gradient), fit.max_residual, verdict.rank]
+    _report(args, doc, header, [row])
     return CONCLUSION_EXIT[verdict.conclusion]
 
 
@@ -352,7 +257,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownName, BadParams, BadMargin) as e:
+    except (ParseError, UnknownName, BadParams, BadMargin, OutOfFloatRange) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ToricError as e:

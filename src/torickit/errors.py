@@ -80,3 +80,7 @@ class MaxIterations(ToricError):
 
 class ParseError(ToricError):
     """Malformed input document."""
+
+
+class OutOfFloatRange(ToricError, OverflowError):
+    """An exact value lies beyond the range of a double."""

@@ -1,20 +1,90 @@
-"""Small exact linear algebra kernel over fractions.Fraction."""
+"""Exact numbers at the package boundary, and a small linear algebra kernel
+over fractions.Fraction.
+
+Every value that enters the exact layer passes `integer` or `frac`, which
+refuse bools and floats instead of truncating them, and every exact value
+that leaves it for numpy passes `floats`, which refuses one beyond the
+range of a double.  `document` and `parsing` are the shared front of the
+JSON parsers.
+"""
 
 from __future__ import annotations
 
+import json
+import operator
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
+from .errors import OutOfFloatRange, ParseError
+
+
+def integer(value) -> int:
+    """An int, a numpy integer or an integral Fraction as an int.
+
+    TypeError for anything else, bools and floats included.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return value.numerator
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"not an exact integer: {value!r}")
+
 
 def frac(value) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """A Fraction (returned as is), an exact integer (see `integer`) or a
+    string like '3/4' or '1e-3' as a Fraction; never a bool or a float."""
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+    try:
+        return Fraction(integer(value))
+    except TypeError:
+        raise TypeError(f"not an exact rational: {value!r}") from None
+
+
+def floats(values) -> np.ndarray:
+    """Exact values, or nested sequences of them, as a float array.
+
+    OutOfFloatRange when one lies beyond the range of a double.
+    """
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as e:
+        raise OutOfFloatRange(f"an exact value lies beyond the float range ({e})") from None
+
+
+def document(doc, what: str) -> dict:
+    """A JSON object, given as text or already parsed; ParseError otherwise."""
+    if isinstance(doc, (str, bytes)):
+        try:
+            doc = json.loads(doc)
+        except ValueError as e:
+            raise ParseError(f"invalid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} document must be an object")
+    return doc
+
+
+@contextmanager
+def parsing(where: str):
+    """Report a value that a constructor refuses inside the block as a
+    ParseError located at `where`."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"{where}: {e}") from e
 
 
 def frac_str(value: Fraction) -> str:

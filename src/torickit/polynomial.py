@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Mapping
 
@@ -18,10 +17,10 @@ class Polynomial:
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars: int, coeffs: Mapping[tuple, object] | None = None):
-        self.nvars = int(nvars)
+        self.nvars = exact.integer(nvars)
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, c in (coeffs or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exact.integer(e) for e in exps)
             if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps}")
             c = exact.frac(c)
@@ -163,30 +162,13 @@ class Polynomial:
 
 def polynomial_from_json(doc, nvars: int) -> Polynomial:
     """Parse {"monomials": [{"exponents": [...], "coeff": "p/q"}, ...]}."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}") from e
     if doc is None:
         return Polynomial.zero(nvars)
-    if not isinstance(doc, dict) or not isinstance(doc.get("monomials"), list):
+    monomials = exact.document(doc, "polynomial").get("monomials")
+    if not isinstance(monomials, list):
         raise ParseError("polynomial document must contain a 'monomials' list")
-    coeffs = {}
-    for i, mono in enumerate(doc["monomials"]):
-        if not isinstance(mono, dict) or not {"exponents", "coeff"} <= mono.keys():
-            raise ParseError(f"monomial {i} must be an object with 'exponents' and 'coeff'")
-        exps, coeff = mono["exponents"], mono["coeff"]
-        # type(...) is int: JSON integers only, so neither true nor 1.7 nor 1.0
-        if not isinstance(exps, list) or any(type(e) is not int or e < 0 for e in exps):
-            raise ParseError(f"monomial {i}: exponents must be non-negative integers, got {exps!r}")
-        if len(exps) != nvars:
-            raise ParseError(f"monomial {i}: expected {nvars} exponents, got {len(exps)}")
-        if type(coeff) not in (str, int):
-            raise ParseError(f"monomial {i}: coefficient must be an int or 'p/q' string")
-        try:
-            c = exact.frac(coeff)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"monomial {i}: {e}") from e
-        coeffs[tuple(exps)] = coeffs.get(tuple(exps), Fraction(0)) + c
-    return Polynomial(nvars, coeffs)
+    total = Polynomial.zero(nvars)
+    for i, mono in enumerate(monomials):
+        with exact.parsing(f"monomial {i}"):
+            total += Polynomial(nvars, {tuple(mono["exponents"]): mono["coeff"]})
+    return total

@@ -11,7 +11,6 @@ the decisions made here.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -41,7 +40,7 @@ class AffineForm:
     b: Fraction
 
     def __post_init__(self):
-        u = tuple(int(c) for c in self.u)
+        u = tuple(exact.integer(c) for c in self.u)
         if not u or all(c == 0 for c in u):
             raise ValueError("normal must be a nonzero integer vector")
         g = 0
@@ -72,7 +71,7 @@ class VertexData:
     edge_generators: tuple[tuple[int, ...], ...]
 
     def as_float(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coordinates])
+        return exact.floats(self.coordinates)
 
     def to_json(self) -> dict:
         return {
@@ -195,11 +194,11 @@ class DelzantPolytope:
 
     @cached_property
     def normals_float(self) -> np.ndarray:
-        return np.array([[float(c) for c in f.u] for f in self.forms])
+        return exact.floats([f.u for f in self.forms])
 
     @cached_property
     def offsets_float(self) -> np.ndarray:
-        return np.array([float(f.b) for f in self.forms])
+        return exact.floats([f.b for f in self.forms])
 
     @cached_property
     def normal_lengths(self) -> np.ndarray:
@@ -207,7 +206,7 @@ class DelzantPolytope:
 
     @cached_property
     def vertex_floats(self) -> np.ndarray:
-        return np.array([v.as_float() for v in self.vertices])
+        return exact.floats([v.coordinates for v in self.vertices])
 
     def lambdas(self, x: np.ndarray) -> np.ndarray:
         """Float values of every defining form at x (points in rows ok)."""
@@ -303,20 +302,18 @@ class UnimodularMap:
     matrix_inverse: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = tuple(tuple(int(c) for c in row) for row in self.matrix)
+        a = tuple(tuple(exact.integer(c) for c in row) for row in self.matrix)
         if len(self.translation) != len(a):
             raise ValueError(f"{len(a)} matrix rows but {len(self.translation)} translation entries")
         # An integer matrix has determinant +-1 exactly when its inverse is
         # integral, so one elimination both checks and inverts it (and
         # raises ValueError when the matrix is not square).
         try:
-            inv = exact.inverse(a)
-        except ZeroDivisionError:
-            inv = None
-        if inv is None or any(c.denominator != 1 for row in inv for c in row):
-            raise ValueError(f"matrix determinant {exact.det(a)}, not a lattice automorphism")
+            inv = tuple(tuple(exact.integer(c) for c in row) for row in exact.inverse(a))
+        except (ZeroDivisionError, TypeError):
+            raise ValueError(f"matrix determinant {exact.det(a)}, not a lattice automorphism") from None
         object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "matrix_inverse", tuple(tuple(int(c) for c in row) for row in inv))
+        object.__setattr__(self, "matrix_inverse", inv)
         object.__setattr__(
             self, "translation", tuple(exact.frac(c) for c in self.translation)
         )
@@ -329,7 +326,7 @@ class UnimodularMap:
 
     def apply_point_float(self, x: np.ndarray) -> np.ndarray:
         a = np.array(self.matrix, dtype=float)
-        t = np.array([float(c) for c in self.translation])
+        t = exact.floats(self.translation)
         return (np.asarray(x, dtype=float) - t) @ a.T
 
     def apply_form(self, form: AffineForm) -> AffineForm:
@@ -449,12 +446,16 @@ def catalog(name: str, *params) -> DelzantPolytope:
     simplex(n, scale=1), cube(n, scale=1), hirzebruch(a), blowup_cp2(k).
     """
     def _int(x, what):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise BadParams(f"{what} must be an integer, got {x!r}")
-        return x
+        try:
+            return exact.integer(x)
+        except TypeError:
+            raise BadParams(f"{what} must be an integer, got {x!r}") from None
 
     def _scale(x):
-        s = exact.frac(x) if not isinstance(x, float) else None
+        try:
+            s = exact.frac(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            s = None
         if s is None or s <= 0:
             raise BadParams(f"scale must be a positive rational, got {x!r}")
         return s
@@ -504,37 +505,18 @@ CATALOG_DEFAULTS: tuple[tuple[str, tuple], ...] = (
 
 def polytope_from_json(doc) -> DelzantPolytope:
     """Parse {"n": int, "forms": [{"u": [...], "b": "p/q"}, ...]}."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ParseError("polytope document must be an object")
-    try:
-        n = doc["n"]
-        raw_forms = doc["forms"]
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"missing polytope field: {e}") from e
-    # type(...) is int: JSON integers only, so neither true nor 1.7 nor 1.0
-    if type(n) is not int or n < 1:
+    doc = exact.document(doc, "polytope")
+    with exact.parsing("polytope"):
+        n, raw_forms = exact.integer(doc["n"]), doc["forms"]
+    if n < 1:
         raise ParseError(f"bad dimension {n!r}")
     if not isinstance(raw_forms, list) or not raw_forms:
         raise ParseError("forms must be a nonempty list")
     forms = []
     for i, rf in enumerate(raw_forms):
-        try:
-            u = tuple(rf["u"])
-            if any(type(c) is not int for c in u):
-                raise ParseError(f"form {i}: normal entries must be integers, got {list(u)!r}")
-            if len(u) != n:
-                raise ParseError(f"form {i}: normal has {len(u)} entries, expected {n}")
-            b = exact.frac(rf["b"]) if type(rf["b"]) in (str, int) else None
-            if b is None:
-                raise ParseError(f"form {i}: offset must be an int or 'p/q' string")
-            forms.append(AffineForm(u=u, b=b))
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"form {i}: {e}") from e
+        with exact.parsing(f"form {i}"):
+            form = AffineForm(u=tuple(rf["u"]), b=rf["b"])
+        if len(form.u) != n:
+            raise ParseError(f"form {i}: normal has {len(form.u)} entries, expected {n}")
+        forms.append(form)
     return DelzantPolytope.from_forms(forms, n)

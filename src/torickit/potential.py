@@ -26,13 +26,13 @@ facts numerically along rays into a vertex.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
 import numpy as np
 
+from . import exact
 from .errors import NotPositiveDefinite, OutsideDomain, ParseError
 from .polynomial import Polynomial, polynomial_from_json
 from .polytope import DelzantPolytope, VertexData, polytope_from_json
@@ -76,9 +76,9 @@ class SymplecticPotential:
             combos = list(itertools.combinations_with_replacement(range(n), order))
             partials = [self.h.derivative(c) for c in combos]
             monomials = sorted({e for d in partials for e in d.coeffs})
-            exponents = np.array(monomials, dtype=float).reshape(len(monomials), n)
-            weights = np.array(
-                [[float(d.coeffs.get(e, 0)) for d in partials] for e in monomials]
+            exponents = exact.floats(monomials).reshape(len(monomials), n)
+            weights = exact.floats(
+                [[d.coeffs.get(e, 0) for d in partials] for e in monomials]
             ).reshape(len(monomials), len(combos))
             slots = itertools.product(range(n), repeat=order)
             gather = np.array([combos.index(tuple(sorted(s))) for s in slots])
@@ -237,7 +237,9 @@ def metric_jets(pot: SymplecticPotential, points, with_derivatives: bool = False
     Errors are those of calling `metric_jet` point by point: OutsideDomain
     or NotPositiveDefinite for the first failing row, with its payload.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2:  # one point, or an empty list of points
+        pts = pts.reshape(min(pts.size, 1), pot.n)
     for start in range(0, max(len(pts), 1), _CHUNK):
         rows = pts[start : start + _CHUNK]
         try:
@@ -309,10 +311,7 @@ def vertex_vanishing_probe(
     `vertex` may be a VertexData or an exact coordinate tuple; `ray` must
     point into the interior for every sampled t.
     """
-    if isinstance(vertex, VertexData):
-        v = vertex.as_float()
-    else:
-        v = np.array([float(c) for c in vertex], dtype=float)
+    v = exact.floats(vertex.coordinates if isinstance(vertex, VertexData) else vertex)
     d = np.asarray(ray, dtype=float)
     ts = np.asarray(ts, dtype=float)
     norms = np.empty_like(ts)
@@ -381,13 +380,8 @@ def cofactor_growth_check(
 
 def potential_from_json(doc) -> SymplecticPotential:
     """Parse {"polytope": {...}, "h": {"monomials": [...]}}."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}") from e
-    if not isinstance(doc, dict) or "polytope" not in doc:
+    doc = exact.document(doc, "potential")
+    if "polytope" not in doc:
         raise ParseError("potential document must contain 'polytope'")
     polytope = polytope_from_json(doc["polytope"])
-    h = polynomial_from_json(doc.get("h"), polytope.n)
-    return SymplecticPotential(polytope, h)
+    return SymplecticPotential(polytope, polynomial_from_json(doc.get("h"), polytope.n))

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 
+from . import exact
 from .errors import BadMargin
 from .polytope import DelzantPolytope, VertexData
 
@@ -130,9 +131,6 @@ def interior_rays(vertex: VertexData, count: int = 3) -> list[np.ndarray]:
 
 def ray_points(vertex, ray, ts) -> np.ndarray:
     """x = v + t * d for each t."""
-    if isinstance(vertex, VertexData):
-        v = vertex.as_float()
-    else:
-        v = np.asarray(vertex, dtype=float)
+    v = exact.floats(vertex.coordinates if isinstance(vertex, VertexData) else vertex)
     ts = np.asarray(ts, dtype=float)
     return v[None, :] + ts[:, None] * np.asarray(ray, dtype=float)[None, :]

@@ -155,7 +155,7 @@ class FanoPolytope:
         """Float triangulation for _moments: per simplex and vertex pair k <= l,
         h_k = (1, v_k), h_l and nodes (v_k, v_0..v_n, v_l); n! vol per simplex."""
         simplices = triangulate(self.base)
-        h = np.array([[(1.0, *map(float, v)) for v in s] for s in simplices])
+        h = exact.floats([[(1, *v) for v in s] for s in simplices])
         k, l = np.triu_indices(self.n + 1)
         nodes = np.column_stack([k, np.tile(np.arange(self.n + 1), (len(k), 1)), l])
         return h[:, k], h[:, l], h[:, nodes, 1:], np.abs(np.linalg.det(h))

@@ -42,6 +42,14 @@ def monomial(exponents, coeff="1"):
     return {"monomials": [{"exponents": exponents, "coeff": coeff}]}
 
 
+# Exact values beyond the range of a double: each once ended curvature and
+# verify in an OverflowError traceback.
+HUGE_B = {
+    "n": 2,
+    "forms": [{"u": [1, 0], "b": "0"}, {"u": [0, 1], "b": "0"}, {"u": [-1, -1], "b": "-1e400"}],
+}
+HUGE_H = simplex_with_h(monomial([2, 0], "1e400"))
+
 # Each of these once crashed or was silently coerced by the h parser.
 BAD_H = {
     "monomials_not_a_list": {"monomials": 5},
@@ -242,6 +250,12 @@ class TestCurvature:
         assert out == ""
         assert err.startswith("error:") and "--random" in err
 
+    def test_negative_seed(self, capsys):
+        rc, out, err = run(capsys, "curvature", "--catalog", "simplex(2)", "--random", "5", "--seed", "-1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "--seed" in err
+
     @pytest.mark.parametrize("h", BAD_H.values(), ids=BAD_H.keys())
     def test_malformed_h_is_rejected(self, capsys, tmp_path, h):
         path = tmp_path / "pot.json"
@@ -354,6 +368,20 @@ class TestVerify:
         assert lines[1].startswith("Einstein,")
 
 
+@pytest.mark.parametrize("doc", [HUGE_B, HUGE_H], ids=["offset", "h_coefficient"])
+def test_values_beyond_float_range(capsys, tmp_path, doc):
+    # the exact subcommands never make floats; the float ones refuse them
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command, want in ((["delzant"], 0), (["soliton"], 0), (["curvature", "--grid", "3"], 2),
+                          (["verify", "--grid", "3", "-a", "0", "0"], 2),
+                          (["verify", "--grid", "3", "--from-soliton"], 2)):
+        rc, out, err = run(capsys, *command, "--input", str(path))
+        assert rc == want, command
+        if want:
+            assert out == "" and err.startswith("error:") and "float range" in err
+
+
 class TestPlumbing:
     def test_reports_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -429,14 +457,20 @@ def mostly(draw, valid, good=3, bad=JUNK):
     return draw(bad if draw(st.integers(0, good)) == 0 else valid)
 
 
+# beyond the float range as they stand, or times the derivative factors of
+# a high exponent
+BEYOND_FLOATS = st.sampled_from(["1e400", "-1e400", "-1e400/3", "1e300"])
+
+
 def h_documents(n):
     exponents = mostly(
-        st.lists(mostly(st.integers(-1, 4), good=8), min_size=n, max_size=n),
+        st.lists(mostly(st.one_of(st.integers(-1, 4), st.just(200)), good=8), min_size=n, max_size=n),
         good=6,
         bad=st.one_of(JUNK, st.lists(st.integers(0, 2), max_size=n + 1)),
     )
     coeff = mostly(
-        st.one_of(st.integers(-3, 3), st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 99))),
+        st.one_of(st.integers(-3, 3), st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 99)),
+                  BEYOND_FLOATS),
         good=8,
     )
     monomial = mostly(st.fixed_dictionaries({"exponents": exponents, "coeff": coeff}), good=10)
@@ -448,7 +482,7 @@ def h_documents(n):
 
 FORM = st.fixed_dictionaries({
     "u": mostly(st.lists(mostly(st.integers(-2, 2), good=10), min_size=1, max_size=3), good=10),
-    "b": mostly(st.one_of(st.integers(-2, 2), st.sampled_from(["0", "-1", "1/2", "x"])), good=10),
+    "b": mostly(st.one_of(st.integers(-2, 2), st.sampled_from(["0", "-1", "1/2", "x"]), BEYOND_FLOATS), good=10),
 })
 POLYTOPE_DOCUMENTS = mostly(
     st.fixed_dictionaries({
@@ -483,6 +517,8 @@ def fuzz_path(tmp_path_factory):
 @example(doc=simplex_with_h(BAD_H["float_exponent"]))
 @example(doc=simplex_with_h(BAD_H["bool_exponent"]))
 @example(doc=simplex_with_h(BAD_H["bool_coefficient"]))
+@example(doc=HUGE_B)
+@example(doc=HUGE_H)
 def test_fuzzed_documents_keep_the_exit_code_contract(fuzz_path, doc):
     fuzz_path.write_text(json.dumps(doc))
     for command in (["delzant"], ["curvature", "--grid", "3"], ["soliton"],

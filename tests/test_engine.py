@@ -161,6 +161,12 @@ class TestBatchErrors:
         assert got.value.eigenvalue == one.value.eigenvalue < 0
 
 
+def test_empty_point_list():
+    pot = SymplecticPotential.guillemin(catalog("simplex", 2))
+    for points in ([], np.empty((0, 2))):
+        assert scalar_curvatures(pot, points).shape == (0,)
+
+
 def test_identity_residual_memory_is_flat():
     pot = SymplecticPotential.guillemin(catalog("cube", 4))
     pts = random_interior_points(pot.polytope, 10_000, rng=5)

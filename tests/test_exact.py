@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torickit import exact
+from torickit import AffineForm, OutOfFloatRange, Polynomial, UnimodularMap, exact
 
 
 def _known_rank_cases():
@@ -38,8 +38,39 @@ def test_frac_parses_strings_and_ints():
 
 
 def test_frac_rejects_floats():
-    with pytest.raises(TypeError):
-        exact.frac(0.5)
+    for value in (0.5, 1.0, True, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            exact.frac(value)
+
+
+def test_integer_takes_exact_integers_only():
+    assert [exact.integer(v) for v in (3, np.int64(3), Fraction(6, 2))] == [3, 3, 3]
+    for value in (1.7, 1.0, True, np.bool_(True), Fraction(1, 2), "3"):
+        with pytest.raises(TypeError):
+            exact.integer(value)
+
+
+# The integer slots of every lattice object: a normal entry, a matrix entry, an exponent.
+LATTICE_CONSTRUCTORS = {
+    "AffineForm": lambda c: AffineForm((c, 0), 0),
+    "UnimodularMap": lambda c: UnimodularMap(((c, 0), (0, 1)), (0, 0)),
+    "Polynomial": lambda c: Polynomial(2, {(c, 0): 1}),
+}
+
+
+@pytest.mark.parametrize("build", LATTICE_CONSTRUCTORS.values(), ids=LATTICE_CONSTRUCTORS.keys())
+def test_lattice_objects_are_never_truncated(build):
+    for value in (1.7, 1.0, True):
+        with pytest.raises(TypeError):
+            build(value)
+    assert build(1) == build(np.int64(1)) == build(Fraction(1))
+
+
+def test_floats_refuse_values_beyond_double_range():
+    assert exact.floats([(Fraction(1, 4), 2)]).tolist() == [[0.25, 2.0]]
+    for value in (Fraction(10**400), Fraction(-(10**400), 3), 10**400):
+        with pytest.raises(OutOfFloatRange):
+            exact.floats([value])
 
 
 def test_frac_str_roundtrip():
