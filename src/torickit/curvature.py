@@ -113,10 +113,12 @@ def scalar_curvature_fd(
 
     The step defaults to (distance to boundary) / 24 and must satisfy
     distance >= 10 * step; an explicit step violating that margin is a
-    precondition error.
+    precondition error.  A point outside the polytope raises OutsideDomain.
     """
     x = np.asarray(x, dtype=float)
     dist = float(sampling.interior_distance(pot.polytope, x))
+    if dist <= 0:
+        metric_jet(pot, x)      # OutsideDomain, naming the first violated form
     if step is None:
         step = dist / FD_STEP_FRACTION
     if step <= 0 or dist < FD_MARGIN_FACTOR * step:

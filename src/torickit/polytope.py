@@ -81,34 +81,16 @@ class VertexData:
         }
 
 
-def _recession_direction(normals: Sequence[tuple[int, ...]], n: int):
-    """An exact nonzero direction y with <u_k, y> >= 0 for all k, or None."""
-    y = exact.kernel_vector(normals, n)
-    if y is not None:
-        return y
-    # The cone {Uy >= 0} is pointed, so if nontrivial it has an extreme
-    # ray cut out by n-1 linearly independent active normals.  One
-    # elimination of a subset gives both its rank and that ray.
-    for subset in itertools.combinations(range(len(normals)), n - 1):
-        reduced, pivots, _ = exact._eliminate([normals[i] for i in subset], n)
-        if len(pivots) != n - 1:
-            continue
-        y = exact._free_vector(reduced, pivots, n)
-        vals = [sum(c * yc for c, yc in zip(u, y)) for u in normals]
-        if all(v >= 0 for v in vals):
-            return y
-        if all(v <= 0 for v in vals):
-            return tuple(-c for c in y)
-    return None
-
-
 def enumerate_vertices(forms: Sequence[AffineForm], n: int) -> tuple[VertexData, ...]:
     """All vertices of the half-space intersection, with incidence and edges.
 
-    Raises Unbounded when a recession direction exists, Empty when no
-    point satisfies every form, LowerDimensional when the vertices do
-    not affinely span.  Exhaustive over n-subsets; meant for the small
-    polytopes this package works with.
+    A walk over the vertex-edge graph (Balinski 1961) from the first
+    feasible basic solution.  At a vertex each n-1 independent tight
+    normals fix a primitive direction y; +-y is an edge when no tight form
+    decreases along it, and the ratio test finds its other end.  Raises
+    Unbounded for a line or an edge without end, Empty when no point
+    satisfies every form, LowerDimensional when the vertices do not
+    affinely span.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -116,53 +98,60 @@ def enumerate_vertices(forms: Sequence[AffineForm], n: int) -> tuple[VertexData,
         if len(f.u) != n:
             raise ValueError("form dimension mismatch")
     normals = [f.u for f in forms]
-    ray = _recession_direction(normals, n)
-    if ray is not None:
-        raise Unbounded(f"recession direction {ray}")
+    line = exact.kernel_vector(normals, n)
+    if line is not None:
+        raise Unbounded(f"recession direction {exact.primitive(line)}")
 
-    offsets = [f.b for f in forms]
-    found: dict[tuple[Fraction, ...], set[int]] = {}
+    # A polyhedron without lines has a vertex when it is nonempty.
     for subset in itertools.combinations(range(len(forms)), n):
-        rows = [normals[i] for i in subset]
-        rhs = [offsets[i] for i in subset]
-        x = exact.solve(rows, rhs)
-        if x is None:
-            continue
-        vals = [f.value(x) for f in forms]
-        if any(v < 0 for v in vals):
-            continue
-        tight = {k for k, v in enumerate(vals) if v == 0}
-        found.setdefault(tuple(x), set()).update(tight)
-
-    if not found:
+        x = exact.solve([normals[i] for i in subset], [forms[i].b for i in subset])
+        if x is not None and min(f.value(x) for f in forms) >= 0:
+            break
+    else:
         raise Empty("no feasible basic solution")
-    coords = sorted(found)
+
+    values = {x: [f.value(x) for f in forms]}
+    edges = {}
+    todo = [x]
+    while todo:
+        v = todo.pop()
+        lam = values[v]
+        tight = [k for k, value in enumerate(lam) if value == 0]
+        edges[v] = out = {}
+        for subset in itertools.combinations(tight, n - 1):
+            reduced, pivots, _ = exact._eliminate([normals[k] for k in subset], n)
+            if len(pivots) < n - 1:
+                continue
+            y = exact.primitive(exact._free_vector(reduced, pivots, n))
+            slopes = [sum(a * b for a, b in zip(u, y)) for u in normals]
+            along = [slopes[k] for k in tight]
+            if min(along) < 0:
+                if max(along) > 0:
+                    continue
+                y, slopes = tuple(-c for c in y), [-s for s in slopes]
+            steps = [value / -s for value, s in zip(lam, slopes) if s < 0]
+            if not steps:
+                raise Unbounded(f"recession direction {y}")
+            t = min(steps)
+            w = tuple(c + t * yc for c, yc in zip(v, y))
+            out[w] = y
+            if w not in values:
+                values[w] = [value + t * s for value, s in zip(lam, slopes)]
+                todo.append(w)
+
+    coords = sorted(values)
     if exact.affine_rank(coords) < n:
         raise LowerDimensional(
             f"vertices span affine rank {exact.affine_rank(coords)} < {n}"
         )
-
-    vertices = []
-    for v in coords:
-        inc_v = found[v]
-        adjacent = []
-        for w in coords:
-            if w == v:
-                continue
-            common = [normals[k] for k in inc_v & found[w]]
-            if exact.rank(common) == n - 1:
-                adjacent.append(w)
-        gens = tuple(
-            exact.primitive([wc - vc for wc, vc in zip(w, v)]) for w in adjacent
+    return tuple(
+        VertexData(
+            coordinates=v,
+            incident_facets=frozenset(k for k, value in enumerate(values[v]) if value == 0),
+            edge_generators=tuple(edges[v][w] for w in sorted(edges[v])),
         )
-        vertices.append(
-            VertexData(
-                coordinates=v,
-                incident_facets=frozenset(inc_v),
-                edge_generators=gens,
-            )
-        )
-    return tuple(vertices)
+        for v in coords
+    )
 
 
 class DelzantPolytope:

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from . import exact
-from .errors import BadMargin
+from .errors import BadMargin, OutOfFloatRange
 from .polytope import DelzantPolytope, VertexData
 
 DEFAULT_MARGIN_FACTOR = 1e-3
@@ -19,9 +19,14 @@ def bounding_box(p: DelzantPolytope) -> tuple[np.ndarray, np.ndarray]:
 
 
 def diameter(p: DelzantPolytope) -> float:
+    """Largest vertex distance; OutOfFloatRange when its square overflows."""
     verts = p.vertex_floats
-    diffs = verts[:, None, :] - verts[None, :, :]
-    return float(np.sqrt((diffs**2).sum(axis=2)).max())
+    with np.errstate(over="ignore"):
+        diffs = verts[:, None, :] - verts[None, :, :]
+        d = float(np.sqrt((diffs**2).sum(axis=2)).max())
+    if not np.isfinite(d):
+        raise OutOfFloatRange("the polytope's extent lies beyond the float range")
+    return d
 
 
 def default_margin(p: DelzantPolytope) -> float:

@@ -1,15 +1,19 @@
 """Independent oracles the tests freeze expected values against.
 
-Nothing here touches the package's own derivative or quadrature code:
-curvature comes from sympy symbolic differentiation or from a metric jet
-built entry by entry, moments from scipy adaptive quadrature over a
-halfspace description, areas from the shoelace formula.
+Nothing here touches the package's own derivative, quadrature or
+elimination code: curvature comes from sympy symbolic differentiation or
+from a metric jet built entry by entry, moments from scipy adaptive
+quadrature over a halfspace description, areas from the shoelace formula,
+vertices from an exhaustive search over basic solutions.
 """
 
 import itertools
-from math import factorial, prod
+from fractions import Fraction
+from math import factorial, gcd, prod
 
 import numpy as np
+
+from torickit import Empty, LowerDimensional, Unbounded, VertexData
 
 
 def shoelace_area(vertices):
@@ -197,3 +201,98 @@ def central_second_difference(f, x, i, j, h):
     return (
         f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
     ) / (4.0 * h**2)
+
+
+def _row_reduce(rows, ncols):
+    """Reduced row echelon form over Fraction, pivots sought in the first
+    ncols columns; returns the rows and the pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f != 0:
+                m[i] = [a - f * b for a, b in zip(row, m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _kernel(rows, n):
+    """A nonzero kernel vector of the rows, or None when they have rank n."""
+    reduced, pivots = _row_reduce(rows, n)
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return None
+    y = [Fraction(int(c == free[0])) for c in range(n)]
+    for row, c in zip(reduced, pivots):
+        y[c] = -row[free[0]]
+    return y
+
+
+def _primitive(vector):
+    scale = 1
+    for x in vector:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in vector]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in ints)
+
+
+def feasible_basic_solutions(forms, n):
+    """{x: tight form indices} over the n-subsets of forms whose normals
+    are independent and whose solution satisfies every form."""
+    found = {}
+    for subset in itertools.combinations(forms, n):
+        reduced, pivots = _row_reduce([list(f.u) + [f.b] for f in subset], n)
+        if len(pivots) < n:
+            continue
+        x = tuple(row[n] for row in reduced)
+        values = [sum(a * b for a, b in zip(f.u, x)) - f.b for f in forms]
+        if min(values) >= 0:
+            found[x] = frozenset(k for k, v in enumerate(values) if v == 0)
+    return found
+
+
+def reference_vertices(forms, n):
+    """Vertex data by exhaustive search, as the package once computed it.
+
+    Unbounded when {y : <u_k, y> >= 0 for all k} holds a nonzero y: a
+    kernel vector of the normals, or else the ray cut out by some n-1
+    independent normals.  Then every feasible basic solution is a vertex
+    (Empty when there is none, LowerDimensional when they do not span),
+    and two vertices are adjacent when their shared tight normals have
+    rank n-1.
+    """
+    normals = [f.u for f in forms]
+    rays = [_kernel(normals, n)]
+    for subset in itertools.combinations(normals, n - 1):
+        if len(_row_reduce(subset, n)[1]) == n - 1:
+            rays.append(_kernel(subset, n))
+    for y in filter(None, rays):
+        slopes = [sum(a * b for a, b in zip(u, y)) for u in normals]
+        if min(slopes) >= 0 or max(slopes) <= 0:
+            raise Unbounded(f"recession direction {y}")
+    found = feasible_basic_solutions(forms, n)
+    if not found:
+        raise Empty("no feasible basic solution")
+    coords = sorted(found)
+    base = coords[0]
+    if len(_row_reduce([[a - b for a, b in zip(v, base)] for v in coords], n)[1]) < n:
+        raise LowerDimensional("vertices do not span")
+    vertices = []
+    for v in coords:
+        adjacent = [
+            w for w in coords
+            if w != v and len(_row_reduce([normals[k] for k in found[v] & found[w]], n)[1]) == n - 1
+        ]
+        gens = tuple(_primitive([a - b for a, b in zip(w, v)]) for w in adjacent)
+        vertices.append(VertexData(v, found[v], gens))
+    return tuple(vertices)

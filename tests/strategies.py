@@ -1,11 +1,12 @@
 """Hypothesis strategies shared by the property tests."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 from hypothesis import strategies as st
 
-from torickit import UnimodularMap
+from torickit import AffineForm, UnimodularMap
 
 
 @st.composite
@@ -20,3 +21,18 @@ def lattice_maps(draw, n):
     a = a[draw(st.permutations(range(n)))] * np.array(signs)[:, None]
     shift = tuple(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4))) for _ in range(n))
     return UnimodularMap(tuple(map(tuple, a.tolist())), shift)
+
+
+@st.composite
+def halfspace_systems(draw):
+    """(forms, n): n in 1..4, n to n+4 forms with primitive normals of
+    entries in [-2, 2] and small rational offsets.  Half of the systems
+    hold the normals of a simplex, which makes them bounded or empty."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, n + 4))
+    simplex = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    normals = simplex[:m] if draw(st.booleans()) else []
+    normal = st.tuples(*[st.integers(-2, 2)] * n).filter(lambda u: gcd(*u) == 1)
+    normals += draw(st.lists(normal, min_size=m - len(normals), max_size=m - len(normals)))
+    offset = st.builds(Fraction, st.integers(-3, 1), st.integers(1, 3))
+    return [AffineForm(u, draw(offset)) for u in draw(st.permutations(normals))], n

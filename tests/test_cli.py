@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -380,6 +381,21 @@ def test_values_beyond_float_range(capsys, tmp_path, doc):
         assert rc == want, command
         if want:
             assert out == "" and err.startswith("error:") and "float range" in err
+
+
+@pytest.mark.parametrize("b", ["-1e300", "-1e200", "-1e160"])
+def test_extent_beyond_float_range(capsys, tmp_path, b):
+    # the vertices are floats, but the squared diameter behind the default
+    # margin is not
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**HUGE_B, "forms": HUGE_B["forms"][:2] + [{"u": [-1, -1], "b": b}]}))
+    for command in (["curvature", "--grid", "3"], ["verify", "--grid", "3", "-a", "0", "0"],
+                    ["curvature", "--random", "3"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, *command, "--input", str(path))
+        assert (rc, out, caught) == (2, "", []), command
+        assert err.startswith("error:") and "extent lies beyond the float range" in err
 
 
 class TestPlumbing:

@@ -13,6 +13,7 @@ import pytest
 from torickit import (
     AffineFit,
     DegenerateSampleSet,
+    OutsideDomain,
     Polynomial,
     ScalarField,
     SymplecticPotential,
@@ -120,6 +121,18 @@ class TestFiniteDifferenceRoute:
         pot = guillemin("simplex", 2)
         with pytest.raises(ValueError):
             scalar_curvature_fd(pot, np.array([0.05, 0.05]), step=0.04)
+
+    def test_point_outside_names_its_form(self):
+        # the same error as the analytic route, not a step precondition
+        pot = guillemin("simplex", 2)
+        x = np.array([2.0, 2.0])
+        with pytest.raises(OutsideDomain) as want:
+            scalar_curvature(pot, x)
+        with pytest.raises(OutsideDomain) as got:
+            scalar_curvature_fd(pot, x)
+        assert (got.value.point, got.value.form_index, got.value.value) == (
+            want.value.point, want.value.form_index, want.value.value,
+        ) == ((2.0, 2.0), 2, -3.0)
 
     def test_scalar_field_dispatch(self):
         pot = guillemin("simplex", 2)

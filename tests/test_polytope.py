@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torickit import (
@@ -31,7 +31,8 @@ from torickit import (
     vertices_affinely_span,
 )
 
-from strategies import lattice_maps
+from oracles import feasible_basic_solutions, reference_vertices
+from strategies import halfspace_systems, lattice_maps
 
 F = Fraction
 
@@ -73,11 +74,44 @@ class TestEnumeration:
         with pytest.raises(Unbounded):
             enumerate_vertices(forms_2d((1, 0, 0), (0, 1, 0)), 2)
 
+    def test_unbounded_names_a_primitive_edge_direction(self):
+        # the cone 0 <= x <= 2y has the edges (0, 1) and (2, 1)
+        with pytest.raises(Unbounded, match=r"direction \((0, 1|2, 1)\)$"):
+            enumerate_vertices(forms_2d((1, 0, 0), (-1, 2, 0)), 2)
+
     def test_empty(self):
         with pytest.raises(Empty):
             enumerate_vertices(
                 [AffineForm((1,), F(0)), AffineForm((-1,), F(1))], 1
             )
+
+    def test_empty_despite_a_recession_ray(self):
+        # x >= 1 and x <= 0 leave nothing, though y >= 0 has the ray (0, 1):
+        # emptiness is decided before boundedness
+        with pytest.raises(Empty):
+            enumerate_vertices(forms_2d((1, 0, 1), (-1, 0, 0), (0, 1, 0)), 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(halfspace_systems())
+    # a square pyramid, whose apex lies on four facets
+    @example(([AffineForm(u, F(b)) for u, b in [((1, 0, -1), 0), ((0, 1, -1), 0), ((-1, 0, -1), -2),
+                                                 ((0, -1, -1), -2), ((0, 0, 1), 0)]], 3))
+    # the unit square with x + y >= 0 also tight at the origin
+    @example((forms_2d((1, 0, 0), (0, 1, 0), (-1, 0, -1), (0, -1, -1), (1, 1, 0)), 2))
+    def test_walk_matches_exhaustive_search(self, system):
+        forms, n = system
+
+        def outcome(enumerate_):
+            try:
+                return enumerate_(forms, n)
+            except (Empty, LowerDimensional, Unbounded) as e:
+                return type(e)
+
+        got, want = outcome(enumerate_vertices), outcome(reference_vertices)
+        if (want, got) == (Unbounded, Empty):
+            assert not feasible_basic_solutions(forms, n)
+        else:
+            assert got == want
 
     def test_lower_dimensional(self):
         with pytest.raises(LowerDimensional):
