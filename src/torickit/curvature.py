@@ -19,6 +19,12 @@ normals,
     s = sum_a C_aa^2 / lambda_a^3
         - 1/4 sum_ab (C_ab^3 + C_aa C_ab C_bb) / (lambda_a lambda_b)^2,
 
+evaluated in Q_ab = C_ab / sqrt(lambda_a lambda_b), which is of order one
+however large the polytope, as
+
+    s = sum_a Q_aa^2 / lambda_a
+        - 1/4 sum_ab (Q_ab^3 + Q_aa Q_ab Q_bb) / sqrt(lambda_a lambda_b),
+
 and a perturbed potential the jet formula above.  Both run in batches
 from `metric_jets`; one point is a batch of one row.  Canonical
 potentials give s = 4 on the unit interval, 12 on the unit simplex, 8 on
@@ -50,12 +56,12 @@ def _curvature_rows(pot: SymplecticPotential, b: MetricBatch) -> np.ndarray:
     """Analytic scalar curvature at every row of a batch."""
     gi = b.G_inv
     if pot.h.is_zero:
-        u, lam = pot.polytope.normals_float, b.lam
-        c = u @ gi @ u.T
-        d = np.diagonal(c, axis1=1, axis2=2)
-        pair = (lam[:, :, None] * lam[:, None, :]) ** 2
-        cubic = (c**3 + d[:, :, None] * c * d[:, None, :]) / pair
-        return np.sum(d**2 / lam**3, axis=1) - 0.25 * np.sum(cubic, axis=(1, 2))
+        r = 1.0 / np.sqrt(b.lam)                    # lambda_a^{-1/2}
+        w = r[:, :, None] * pot.polytope.normals_float
+        q = w @ gi @ w.swapaxes(1, 2)
+        d = np.diagonal(q, axis1=1, axis2=2)
+        cubic = q**3 + d[:, :, None] * q * d[:, None, :]
+        return np.sum(d**2 * r**2, axis=1) - 0.25 * np.einsum("pa,pab,pb->p", r, cubic, r)
     a = gi[:, None] @ b.dG @ gi[:, None]        # a[:, k] = G^-1 (d_k G) G^-1
     return (
         np.einsum("pjc,pkjcd,pdk->p", gi, b.d2G, gi)
@@ -189,17 +195,25 @@ def affine_fit(points, values) -> AffineFit:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(values, dtype=float)
-    design = np.hstack([np.ones((len(pts), 1)), pts])
-    if np.linalg.matrix_rank(design) < pts.shape[1] + 1:
+    n = pts.shape[1]
+    rank = 0
+    if len(pts) > n:    # fewer points cannot span (and an empty set has no mean)
+        # Centred, column-scaled coordinates keep the column of ones visible
+        # beside coordinates of any size; the solve also reports the rank.
+        centre = pts.mean(axis=0)
+        scale = np.max(np.abs(pts - centre), axis=0)
+        scale[scale == 0] = 1.0
+        design = np.hstack([np.ones((len(pts), 1)), (pts - centre) / scale])
+        coef, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
+    if rank < n + 1:
         raise DegenerateSampleSet(
-            f"{len(pts)} sample points span less than dimension {pts.shape[1]}"
+            f"{len(pts)} sample points span less than dimension {n}"
         )
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    residual = float(np.max(np.abs(design @ coef - vals)))
+    gradient = coef[1:] / scale
     return AffineFit(
-        constant=float(coef[0]),
-        gradient=coef[1:].copy(),
-        max_residual=residual,
+        constant=float(coef[0] - gradient @ centre),
+        gradient=gradient,
+        max_residual=float(np.max(np.abs(design @ coef - vals))),
         n_samples=len(pts),
     )
 

@@ -197,6 +197,11 @@ class DelzantPolytope:
     def vertex_floats(self) -> np.ndarray:
         return exact.floats([v.coordinates for v in self.vertices])
 
+    @cached_property
+    def affine_span_rank(self) -> int:
+        """Exact dimension of the affine span of the vertices."""
+        return exact.affine_rank([v.coordinates for v in self.vertices])
+
     def lambdas(self, x: np.ndarray) -> np.ndarray:
         """Float values of every defining form at x (points in rows ok)."""
         x = np.asarray(x, dtype=float)
@@ -268,7 +273,7 @@ def check_delzant(p: DelzantPolytope) -> DelzantReport:
     return DelzantReport(
         vertex_reports=tuple(reports),
         is_delzant=all(r.ok for r in reports),
-        affine_span_rank=affine_span_rank([v.coordinates for v in p.vertices]),
+        affine_span_rank=p.affine_span_rank,
     )
 
 
@@ -279,7 +284,7 @@ def affine_span_rank(points) -> int:
 
 def vertices_affinely_span(p: DelzantPolytope) -> bool:
     """True when the vertices affinely span the whole ambient space."""
-    return affine_span_rank([v.coordinates for v in p.vertices]) == p.n
+    return p.affine_span_rank == p.n
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,8 @@ import numpy as np
 from . import exact, sampling
 from .curvature import AffineFit, affine_fit
 from .errors import MaxIterations, NotFano, QuadratureNotConverged, ToricError
-from .polytope import (
-    AffineForm,
-    DelzantPolytope,
-    affine_span_rank,
-    check_delzant,
-)
-from .potential import SymplecticPotential, metric_jet
+from .polytope import AffineForm, DelzantPolytope, check_delzant
+from .potential import SymplecticPotential, metric_jets
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -335,10 +330,10 @@ def einstein_verdict_from_samples(
     fit = affine_fit(pts, vals)
     affine_ok = fit.max_residual <= affinity_tol
 
-    vertex_values = np.array([fit(v.as_float()) for v in polytope.vertices])
+    vertex_values = polytope.vertex_floats @ fit.gradient + fit.constant
     vertex_ok = bool(np.max(np.abs(vertex_values)) <= vertex_tol)
 
-    rank = affine_span_rank([v.coordinates for v in polytope.vertices])
+    rank = polytope.affine_span_rank
     rank_ok = rank == polytope.n
 
     coef_norm = float(np.hypot(fit.constant, np.linalg.norm(fit.gradient)))
@@ -394,10 +389,14 @@ def verify_einstein(
 ) -> EinsteinVerdict:
     """Sample q(x) = a^T G^{-1}(x) a on an interior grid and decide whether
     the soliton field must vanish (Einstein), the affinity hypothesis
-    fails, or the certificates disagree (Inconclusive)."""
+    fails, or the certificates disagree (Inconclusive).
+
+    q is evaluated over the grid in batches; a point where the metric
+    fails raises as `metric_jet` would there, for the first such point.
+    """
     a = np.asarray(a, dtype=float)
     pts = sampling.interior_grid(pot.polytope, grid, margin)
-    values = np.array([float(a @ metric_jet(pot, x).G_inv @ a) for x in pts])
+    values = np.concatenate([np.einsum("i,pij,j->p", a, b.G_inv, a) for b in metric_jets(pot, pts)])
     return einstein_verdict_from_samples(
         pot.polytope, pts, values, affinity_tol=affinity_tol, vertex_tol=vertex_tol
     )

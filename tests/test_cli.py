@@ -398,6 +398,22 @@ def test_extent_beyond_float_range(capsys, tmp_path, b):
         assert err.startswith("error:") and "extent lies beyond the float range" in err
 
 
+@pytest.mark.parametrize("b", ["-1e20", "-1e100", "-1e150"])
+def test_large_extent_within_float_range(capsys, tmp_path, b):
+    # the affine fit once read these samples as degenerate, and Abreu's
+    # formula overflowed in (lambda_a lambda_b)^2
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**HUGE_B, "forms": HUGE_B["forms"][:2] + [{"u": [-1, -1], "b": b}]}))
+    rc, out, err = run(capsys, "curvature", "--grid", "6", "--input", str(path))
+    assert (rc, err) == (0, "")
+    s = np.array(json.loads(out)["samples"])[:, -1]
+    assert len(s) > 0
+    assert np.allclose(s, 12.0 / abs(float(b)), rtol=1e-8, atol=0)
+    rc, out, err = run(capsys, "verify", "-a", "0", "0", "--input", str(path))
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["conclusion"] == "Einstein"
+
+
 class TestPlumbing:
     def test_reports_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

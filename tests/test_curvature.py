@@ -171,6 +171,22 @@ class TestAffineFit:
         with pytest.raises(DegenerateSampleSet):
             affine_fit(pts, np.zeros(4))
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_too_few_samples(self, count):
+        with pytest.raises(DegenerateSampleSet):
+            affine_fit(np.ones((count, 2)), np.zeros(count))
+
+    @pytest.mark.parametrize("offset", [1e20, 1e100, 1e150])
+    def test_samples_far_from_the_origin(self, offset):
+        # coordinates this large once hid the column of ones from the rank test
+        rng = np.random.default_rng(3)
+        unit = rng.uniform(size=(40, 2))
+        vals = 2.0 + unit @ np.array([1.0, -3.0])
+        fit = affine_fit(offset * (1.0 + unit), vals)
+        assert fit.max_residual < 1e-12
+        assert np.allclose(fit.gradient * offset, [1.0, -3.0], rtol=1e-10)
+        assert np.allclose([fit(x) for x in offset * (1.0 + unit)], vals, rtol=1e-10)
+
     def test_callable_evaluation(self):
         fit = AffineFit(constant=2.0, gradient=np.array([1.0, -1.0]),
                         max_residual=0.0, n_samples=4)

@@ -21,6 +21,7 @@ from torickit import (
     Unbounded,
     UnimodularMap,
     UnknownName,
+    VertexData,
     affine_span_rank,
     catalog,
     check_delzant,
@@ -182,6 +183,15 @@ class TestAffineSpan:
         assert vertices_affinely_span(catalog_polytope)
         rank = affine_span_rank([v.coordinates for v in catalog_polytope.vertices])
         assert rank == catalog_polytope.n
+        assert catalog_polytope.affine_span_rank == rank
+        assert check_delzant(catalog_polytope).affine_span_rank == rank
+
+    def test_rank_of_a_flat_vertex_set(self):
+        # the constructor takes vertex data as given, so the rank is computed
+        flat = [VertexData((F(c), F(c)), frozenset(), ()) for c in range(3)]
+        p = DelzantPolytope(forms_2d((1, 0, 0)), flat, 2)
+        assert p.affine_span_rank == 1
+        assert not vertices_affinely_span(p)
 
 
 class TestNormalization:
@@ -275,6 +285,9 @@ class TestUnimodularMap:
             um.apply_point(v.coordinates) for v in p.vertices
         )
         assert exact_volume(q) == exact_volume(p)
+        assert after.affine_span_rank == q.affine_span_rank == affine_span_rank(
+            [v.coordinates for v in q.vertices]
+        )
 
     def test_form_transform_preserves_values(self):
         m = UnimodularMap(((1, 1), (0, 1)), (F(1), F(-2)))

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import lattice_maps
+import torickit.potential
+import torickit.soliton
 from torickit import exact
 from torickit import (
     AffineForm,
@@ -27,6 +29,8 @@ from torickit import (
     QuadratureNotConverged,
     SymplecticPotential,
     UnimodularMap,
+    NotPositiveDefinite,
+    Polynomial,
     catalog,
     einstein_verdict_from_samples,
     exact_volume,
@@ -436,3 +440,75 @@ class TestVerdicts:
             "certificates",
         }
         assert doc["conclusion"] == "Einstein"
+
+
+def _recorded_verdict(monkeypatch, pot, a, grid):
+    """verify_einstein's verdict together with the q samples it fitted."""
+    seen = {}
+    verdict_from_samples = torickit.soliton.einstein_verdict_from_samples
+
+    def record(polytope, points, values, **kw):
+        seen.update(points=points, values=values)
+        return verdict_from_samples(polytope, points, values, **kw)
+
+    monkeypatch.setattr(torickit.soliton, "einstein_verdict_from_samples", record)
+    verdict = verify_einstein(pot, a, grid=grid)
+    return verdict, seen["points"], seen["values"]
+
+
+class TestBatchedVerdict:
+    """verify_einstein evaluates q over its grid in batches; these replay it
+    point by point through the entry-by-entry reference jet."""
+
+    @staticmethod
+    def check(monkeypatch, pot, a, grid=6):
+        verdict, pts, q = _recorded_verdict(monkeypatch, pot, a, grid)
+        assert np.array_equal(pts, interior_grid(pot.polytope, grid))
+        spec = oracles.potential_spec(pot)
+        want = np.array([a @ np.linalg.inv(oracles.reference_jet(*spec, x)[0]) @ a for x in pts])
+        assert np.allclose(q, want, rtol=1e-12, atol=0)
+        ref = einstein_verdict_from_samples(pot.polytope, pts, want)
+        assert verdict.conclusion is ref.conclusion
+        assert verdict.rank == ref.rank == pot.n
+        assert verdict.fit.n_samples == ref.fit.n_samples == len(pts)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert abs(verdict.fit.constant - ref.fit.constant) <= 1e-10 * scale
+        assert np.allclose(verdict.fit.gradient, ref.fit.gradient, rtol=0, atol=1e-10 * scale)
+        assert np.allclose(verdict.vertex_values, ref.vertex_values, rtol=0, atol=1e-10 * scale)
+
+    def test_catalog(self, monkeypatch, catalog_potential):
+        n = catalog_potential.n
+        self.check(monkeypatch, catalog_potential, np.array([1.0, -0.5, 0.25][:n]))
+        self.check(monkeypatch, catalog_potential, np.zeros(n))
+
+    def test_perturbed_simplex(self, monkeypatch):
+        pot = SymplecticPotential(catalog("simplex", 2), Polynomial(2, {(2, 2): F(1, 100)}))
+        self.check(monkeypatch, pot, np.array([0.75, -1.5]), grid=9)
+
+    def test_indefinite_metric_names_the_first_failing_point(self):
+        # G_00 = (1/x + 1/(1 - x - y))/2 - 3 is negative inside the triangle
+        # and positive near its edges; 435 grid points span two chunks
+        pot = SymplecticPotential(catalog("simplex", 2), Polynomial(2, {(2, 0): F(-3)}))
+        pts = interior_grid(pot.polytope, 30)
+        assert len(pts) > torickit.potential._CHUNK
+        for x in pts:
+            try:
+                metric_jet(pot, x)
+            except NotPositiveDefinite as e:
+                want = e
+                break
+        else:
+            pytest.fail("the metric is positive definite on the whole grid")
+        with pytest.raises(NotPositiveDefinite) as got:
+            verify_einstein(pot, [1.0, 0.0], grid=30)
+        assert (got.value.point, got.value.eigenvalue) == (want.point, want.eigenvalue)
+
+    def test_success_never_takes_the_one_point_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("metric_jet called")
+
+        monkeypatch.setattr(torickit.potential, "metric_jet", refuse)
+        for name, params, a, grid in (("cube", (3,), [0.5, 0.0, -1.0], 8),
+                                      ("blowup_cp2", (1,), [T_STAR, T_STAR], 30)):
+            verdict = verify_einstein(SymplecticPotential(catalog(name, *params)), a, grid=grid)
+            assert verdict.fit.n_samples > torickit.potential._CHUNK
