@@ -1,5 +1,5 @@
-"""Exact numbers at the package boundary, and a small linear algebra kernel
-over fractions.Fraction.
+"""Exact numbers at the package boundary, and a small fraction-free linear
+algebra kernel over the integers.
 
 Every value that enters the exact layer passes `integer` or `frac`, which
 refuse bools and floats instead of truncating them, and every exact value
@@ -14,7 +14,7 @@ import json
 import operator
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -47,7 +47,10 @@ def frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"{value}: division by zero") from None
     try:
         return Fraction(integer(value))
     except TypeError:
@@ -94,16 +97,32 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _integer_rows(rows):
+    """Rows scaled to integers by the lcm of their denominators; the product of the scales."""
+    out, scale = [], 1
+    for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        s = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return out, scale
+
+
 def _eliminate(rows, ncols: int):
-    """Exact Gauss-Jordan elimination of a copy of `rows`.
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of a copy of
+    `rows`, each scaled to integers by the lcm of its denominators.
 
     Pivots are sought only in the first `ncols` columns; any further
-    columns ride along.  Returns the reduced rows, the pivot columns and
-    the product of the pivots signed by the row swaps.
+    columns ride along.  Returns the integer rows, the pivot columns and
+    the common denominator d: the rows over d are the reduced row echelon
+    form.  A row swap negates one of the two rows, so d of a nonsingular
+    square matrix is the determinant of the scaled rows.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    product = Fraction(1)
+    m = _integer_rows(rows)[0]
+    pivots, prev = [], 1
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
@@ -112,34 +131,32 @@ def _eliminate(rows, ncols: int):
         if p is None:
             continue
         if p != r:
-            m[r], m[p] = m[p], m[r]
-            product = -product
-        # Columns left of c are zero in row r, so only its tail is touched.
-        # Unit pivots and zero entries, the common case for lattice
-        # normals, cost no Fraction arithmetic.
-        pivot = m[r][c]
-        if pivot != 1:
-            product *= pivot
-            m[r][c:] = [x / pivot if x else x for x in m[r][c:]]
-        tail = m[r][c:]
-        for i, row in enumerate(m):
+            m[r], m[p] = [-x for x in m[p]], m[r]
+        pivot_row, pivot = m[r], m[r][c]
+        # Sylvester's identity: every 2x2 cross term is divisible by the
+        # previous pivot, so the rows stay integral.
+        for row in m[:r] + m[r + 1:]:
             f = row[c]
-            if f and i != r:
-                row[c:] = [a - f * b if b else a for a, b in zip(row[c:], tail)]
+            if f:
+                row[:] = [(pivot * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            elif pivot != prev:
+                row[:] = [pivot * a // prev for a in row]
+        prev = pivot
         pivots.append(c)
-    return m, pivots, product
+    return m, pivots, prev
 
 
-def _free_vector(reduced, pivots, ncols: int):
-    """The kernel vector of reduced rows that is 1 at the first free column."""
+def _integer_kernel(reduced, pivots, d, ncols: int):
+    """d times the kernel vector of `_eliminate`'s rows that is 1 at the
+    first free column, as ints; None when every column has a pivot."""
     j = next((c for c in range(ncols) if c not in pivots), None)
     if j is None:
         return None
-    vec = [Fraction(0)] * ncols
-    vec[j] = Fraction(1)
+    vec = [0] * ncols
+    vec[j] = d
     for row, c in zip(reduced, pivots):
         vec[c] = -row[j]
-    return tuple(vec)
+    return vec
 
 
 def _order(rows) -> int:
@@ -151,60 +168,52 @@ def _order(rows) -> int:
 
 
 def rank(rows) -> int:
-    """Rank by fraction-exact Gaussian elimination."""
+    """Rank by fraction-free Gaussian elimination."""
     return len(_eliminate(rows, len(rows[0]))[1]) if rows else 0
 
 
 def det(rows) -> Fraction:
     n = _order(rows)
-    _, pivots, product = _eliminate(rows, n)
-    return product if len(pivots) == n else Fraction(0)
+    ints, scale = _integer_rows(rows)
+    _, pivots, d = _eliminate(ints, n)
+    return Fraction(d, scale) if len(pivots) == n else Fraction(0)
 
 
 def solve(rows, rhs):
     """Solve a square exact system; None when singular."""
     n = _order(rows)
-    reduced, pivots, _ = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], n)
-    return tuple(row[n] for row in reduced) if len(pivots) == n else None
+    reduced, pivots, d = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    return tuple(Fraction(row[n], d) for row in reduced) if len(pivots) == n else None
 
 
 def inverse(rows):
     """Exact inverse of a nonsingular square matrix."""
     n = _order(rows)
     augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    reduced, pivots, _ = _eliminate(augmented, n)
+    reduced, pivots, d = _eliminate(augmented, n)
     if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(row[n:]) for row in reduced)
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in reduced)
 
 
 def kernel_vector(rows, ncols: int):
-    """One nonzero kernel vector of a rank-deficient system, or None.
-
-    For a (ncols-1)-rank matrix this spans the kernel.
-    """
-    return _free_vector(*_eliminate(rows, ncols)[:2], ncols)
+    """One nonzero kernel vector of a rank-deficient system, or None; for
+    a matrix of rank ncols-1 it spans the kernel."""
+    reduced, pivots, d = _eliminate(rows, ncols)
+    vec = _integer_kernel(reduced, pivots, d, ncols)
+    return None if vec is None else tuple(Fraction(x, d) for x in vec)
 
 
 def affine_rank(points) -> int:
-    """Dimension of the affine span of exact points."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    return rank([[x - y for x, y in zip(p, base)] for p in pts[1:]])
+    """Dimension of the affine span of exact points: rank of the rows (1, p) less one."""
+    rows = [(1, *p) for p in points]
+    return rank(rows) - 1 if rows else 0
 
 
 def primitive(vector):
     """Primitive integer vector along an exact rational direction."""
-    vec = [Fraction(x) for x in vector]
-    if all(x == 0 for x in vec):
+    ints = _integer_rows([vector])[0][0]
+    g = gcd(*ints)
+    if not g:
         raise ValueError("zero vector has no primitive direction")
-    scale = 1
-    for x in vec:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in ints)

@@ -102,55 +102,67 @@ def enumerate_vertices(forms: Sequence[AffineForm], n: int) -> tuple[VertexData,
     if line is not None:
         raise Unbounded(f"recession direction {exact.primitive(line)}")
 
+    # A vertex is (X, D), the point X / D in lowest terms with D > 0.  Row k
+    # below dotted with it is q_k D lambda_k, where b_k = p_k / q_k.
+    rows = [(*(f.b.denominator * c for c in f.u), -f.b.numerator) for f in forms]
+
+    def vertex(h):
+        g = gcd(*h) if h[-1] > 0 else -gcd(*h)
+        v = tuple(c // g for c in h)
+        return v, [sum(a * b for a, b in zip(row, v)) for row in rows]
+
     # A polyhedron without lines has a vertex when it is nonempty.
-    for subset in itertools.combinations(range(len(forms)), n):
-        x = exact.solve([normals[i] for i in subset], [forms[i].b for i in subset])
-        if x is not None and min(f.value(x) for f in forms) >= 0:
-            break
+    for subset in itertools.combinations(rows, n):
+        reduced, pivots, d = exact._eliminate(subset, n)
+        if len(pivots) == n:
+            v, slack = vertex(exact._integer_kernel(reduced, pivots, d, n + 1))
+            if min(slack) >= 0:
+                break
     else:
         raise Empty("no feasible basic solution")
 
-    values = {x: [f.value(x) for f in forms]}
+    slacks = {v: slack}
     edges = {}
-    todo = [x]
+    todo = [v]
     while todo:
         v = todo.pop()
-        lam = values[v]
-        tight = [k for k, value in enumerate(lam) if value == 0]
+        slack = slacks[v]
+        tight = [k for k, value in enumerate(slack) if value == 0]
         edges[v] = out = {}
         for subset in itertools.combinations(tight, n - 1):
-            reduced, pivots, _ = exact._eliminate([normals[k] for k in subset], n)
+            reduced, pivots, d = exact._eliminate([normals[k] for k in subset], n)
             if len(pivots) < n - 1:
                 continue
-            y = exact.primitive(exact._free_vector(reduced, pivots, n))
-            slopes = [sum(a * b for a, b in zip(u, y)) for u in normals]
+            # the tight normals have rank n, so the sign test below orients y
+            y = exact.primitive(exact._integer_kernel(reduced, pivots, d, n))
+            slopes = [sum(a * b for a, b in zip(row, y)) for row in rows]
             along = [slopes[k] for k in tight]
             if min(along) < 0:
                 if max(along) > 0:
                     continue
                 y, slopes = tuple(-c for c in y), [-s for s in slopes]
-            steps = [value / -s for value, s in zip(lam, slopes) if s < 0]
+            # the ratio test; t is the step times D, so w = (X + t y) / D
+            steps = [Fraction(value, -s) for value, s in zip(slack, slopes) if s < 0]
             if not steps:
                 raise Unbounded(f"recession direction {y}")
             t = min(steps)
-            w = tuple(c + t * yc for c, yc in zip(v, y))
+            w, slack_w = vertex([t.denominator * c + t.numerator * yc for c, yc in zip(v, (*y, 0))])
             out[w] = y
-            if w not in values:
-                values[w] = [value + t * s for value, s in zip(lam, slopes)]
+            if w not in slacks:
+                slacks[w] = slack_w
                 todo.append(w)
 
-    coords = sorted(values)
-    if exact.affine_rank(coords) < n:
-        raise LowerDimensional(
-            f"vertices span affine rank {exact.affine_rank(coords)} < {n}"
-        )
+    span = exact.rank(list(slacks)) - 1  # the rows (X, D) span as (1, X / D) do
+    if span < n:
+        raise LowerDimensional(f"vertices span affine rank {span} < {n}")
+    coords = {v: tuple(Fraction(c, v[-1]) for c in v[:-1]) for v in slacks}
     return tuple(
         VertexData(
-            coordinates=v,
-            incident_facets=frozenset(k for k, value in enumerate(values[v]) if value == 0),
-            edge_generators=tuple(edges[v][w] for w in sorted(edges[v])),
+            coordinates=coords[v],
+            incident_facets=frozenset(k for k, value in enumerate(slacks[v]) if value == 0),
+            edge_generators=tuple(edges[v][w] for w in sorted(edges[v], key=coords.get)),
         )
-        for v in coords
+        for v in sorted(slacks, key=coords.get)
     )
 
 
@@ -334,7 +346,7 @@ class UnimodularMap:
         return AffineForm(u=u_new, b=b_new)
 
     def apply_polytope(self, p: DelzantPolytope) -> DelzantPolytope:
-        return DelzantPolytope.from_forms([self.apply_form(f) for f in p.forms], p.n)
+        return _carry(p, self, [self.apply_form(f) for f in p.forms], range(p.num_forms))
 
     def inverse(self) -> "UnimodularMap":
         a_inv = self.matrix_inverse
@@ -374,25 +386,44 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
             f"edge basis at {tuple(map(str, vertex.coordinates))} is not unimodular"
         ) from None
     trans = UnimodularMap(matrix=edges.matrix_inverse, translation=vertex.coordinates)
-    mapped_forms = [trans.apply_form(f) for f in p.forms]
+    mapped = [trans.apply_form(f) for f in p.forms]
 
-    basis = [tuple(int(i == j) for j in range(p.n)) for i in range(p.n)]
-    first, rest = [], []
-    for i in range(p.n):
-        matches = [
-            f for f in mapped_forms if f.u == basis[i] and f.b == 0
-        ]
-        if len(matches) != 1:
-            raise NotDelzantVertex(
-                f"normalisation at {tuple(map(str, vertex.coordinates))} "
-                f"does not produce coordinate half space {i}"
-            )
-        first.append(matches[0])
-    for f in mapped_forms:
-        if f not in first:
-            rest.append(f)
-    result = DelzantPolytope.from_forms(first + rest, p.n)
-    return trans, result
+    basis = [AffineForm(tuple(int(i == j) for j in range(p.n)), 0) for i in range(p.n)]
+    order = [k for e in basis for k, f in enumerate(mapped) if f == e]
+    if [mapped[k] for k in order] != basis:
+        raise NotDelzantVertex(
+            f"normalisation at {tuple(map(str, vertex.coordinates))} "
+            "does not produce each coordinate half space once"
+        )
+    order += [k for k in range(len(mapped)) if k not in order]
+    return trans, _carry(p, trans, mapped, order)
+
+
+def _carry(p: DelzantPolytope, um: UnimodularMap, mapped, order) -> DelzantPolytope:
+    """p's image under um without a second vertex walk: `mapped` holds um's
+    images of p's forms, listed in `order` (new index to old).
+
+    A vertex v goes to A (v - t) and an edge generator g to A g.  The facets
+    of v orthogonal to g are those of the edge, so its two ends meet under
+    one key.  Vertices and edges are sorted by image coordinates again.
+    """
+    where = {k: i for i, k in enumerate(order)}
+    coords = [um.apply_point(v.coordinates) for v in p.vertices]
+    ends = {}
+    for i, v in enumerate(p.vertices):
+        for g in v.edge_generators:
+            edge = frozenset(k for k in v.incident_facets if not sum(a * b for a, b in zip(p.forms[k].u, g)))
+            ends.setdefault(edge, []).append((i, tuple(sum(a * b for a, b in zip(row, g)) for row in um.matrix)))
+    edges = [[] for _ in coords]
+    for (i, g), (j, h) in ends.values():
+        edges[i].append((coords[j], g))
+        edges[j].append((coords[i], h))
+    vertices = [
+        VertexData(coords[i], frozenset(where[k] for k in v.incident_facets),
+                   tuple(g for _, g in sorted(edges[i])))
+        for i, v in sorted(enumerate(p.vertices), key=lambda iv: coords[iv[0]])
+    ]
+    return DelzantPolytope([mapped[k] for k in order], vertices, p.n)
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +470,14 @@ def catalog(name: str, *params) -> DelzantPolytope:
 
     simplex(n, scale=1), cube(n, scale=1), hirzebruch(a), blowup_cp2(k).
     """
+    def shown(x):  # a parsed parameter as its user wrote it
+        return str(x) if isinstance(x, Fraction) else repr(x)
+
     def _int(x, what):
         try:
             return exact.integer(x)
         except TypeError:
-            raise BadParams(f"{what} must be an integer, got {x!r}") from None
+            raise BadParams(f"{what} must be an integer, got {shown(x)}") from None
 
     def _scale(x):
         try:
@@ -451,7 +485,7 @@ def catalog(name: str, *params) -> DelzantPolytope:
         except (TypeError, ValueError, ZeroDivisionError):
             s = None
         if s is None or s <= 0:
-            raise BadParams(f"scale must be a positive rational, got {x!r}")
+            raise BadParams(f"scale must be a positive rational, got {shown(x)}")
         return s
 
     if name == "simplex" or name == "cube":

@@ -82,10 +82,7 @@ def triangulate(p: DelzantPolytope):
 
 
 def _simplex_volume(simplex) -> Fraction:
-    base = simplex[0]
-    rows = [[c - b for c, b in zip(v, base)] for v in simplex[1:]]
-    n = len(rows)
-    return abs(exact.det(rows)) / Fraction(factorial(n))
+    return abs(exact.det([(1, *v) for v in simplex])) / factorial(len(simplex) - 1)
 
 
 def exact_volume(p: DelzantPolytope) -> Fraction:

@@ -4,7 +4,8 @@ Nothing here touches the package's own derivative, quadrature or
 elimination code: curvature comes from sympy symbolic differentiation or
 from a metric jet built entry by entry, moments from scipy adaptive
 quadrature over a halfspace description, areas from the shoelace formula,
-vertices from an exhaustive search over basic solutions.
+vertices from an exhaustive search over basic solutions, linear algebra
+from Gauss-Jordan elimination over Fraction.
 """
 
 import itertools
@@ -203,28 +204,78 @@ def central_second_difference(f, x, i, j, h):
     ) / (4.0 * h**2)
 
 
-def _row_reduce(rows, ncols):
-    """Reduced row echelon form over Fraction, pivots sought in the first
-    ncols columns; returns the rows and the pivot columns."""
+def fraction_eliminate(rows, ncols):
+    """Gauss-Jordan elimination over Fraction, the package's kernel before
+    it went fraction-free.
+
+    Pivots are sought only in the first `ncols` columns; any further
+    columns ride along.  Returns the reduced rows, the pivot columns and
+    the product of the pivots signed by the row swaps.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
     pivots = []
+    product = Fraction(1)
     for c in range(ncols):
         r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
         if p is None:
             continue
-        m[r], m[p] = m[p], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            product = -product
+        pivot = m[r][c]
+        product *= pivot
+        m[r][c:] = [x / pivot for x in m[r][c:]]
+        tail = m[r][c:]
         for i, row in enumerate(m):
             f = row[c]
-            if i != r and f != 0:
-                m[i] = [a - f * b for a, b in zip(row, m[r])]
+            if f and i != r:
+                row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
         pivots.append(c)
-    return m, pivots
+    return m, pivots, product
 
 
-def _kernel(rows, n):
-    """A nonzero kernel vector of the rows, or None when they have rank n."""
+def _row_reduce(rows, ncols):
+    return fraction_eliminate(rows, ncols)[:2]
+
+
+def fraction_rank(rows):
+    return len(_row_reduce(rows, len(rows[0]))[1]) if rows else 0
+
+
+def fraction_det(rows):
+    n = len(rows)
+    _, pivots, product = fraction_eliminate(rows, n)
+    return product if len(pivots) == n else Fraction(0)
+
+
+def fraction_solve(rows, rhs):
+    n = len(rows)
+    reduced, pivots = _row_reduce([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    return tuple(row[n] for row in reduced) if len(pivots) == n else None
+
+
+def fraction_inverse(rows):
+    """The inverse, or None for a singular matrix."""
+    n = len(rows)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = _row_reduce(augmented, n)
+    return tuple(tuple(row[n:]) for row in reduced) if len(pivots) == n else None
+
+
+def fraction_affine_rank(points):
+    """Rank of the differences from the first point."""
+    pts = [[Fraction(x) for x in p] for p in points]
+    if len(pts) <= 1:
+        return 0
+    return fraction_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])
+
+
+def fraction_kernel_vector(rows, n):
+    """The kernel vector of the rows that is 1 at the first free column, or
+    None when they have rank n."""
     reduced, pivots = _row_reduce(rows, n)
     free = [c for c in range(n) if c not in pivots]
     if not free:
@@ -232,7 +283,7 @@ def _kernel(rows, n):
     y = [Fraction(int(c == free[0])) for c in range(n)]
     for row, c in zip(reduced, pivots):
         y[c] = -row[free[0]]
-    return y
+    return tuple(y)
 
 
 def _primitive(vector):
@@ -272,10 +323,10 @@ def reference_vertices(forms, n):
     rank n-1.
     """
     normals = [f.u for f in forms]
-    rays = [_kernel(normals, n)]
+    rays = [fraction_kernel_vector(normals, n)]
     for subset in itertools.combinations(normals, n - 1):
         if len(_row_reduce(subset, n)[1]) == n - 1:
-            rays.append(_kernel(subset, n))
+            rays.append(fraction_kernel_vector(subset, n))
     for y in filter(None, rays):
         slopes = [sum(a * b for a, b in zip(u, y)) for u in normals]
         if min(slopes) >= 0 or max(slopes) <= 0:

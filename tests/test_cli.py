@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, report formats, files."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -120,6 +121,14 @@ class TestDelzant:
         rc, _, err = run(capsys, "delzant", "--catalog", "cube(2,xyz)")
         assert rc == 2
         assert "xyz" in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("simplex(1,0)", "scale must be a positive rational, got 0"),
+        ("hirzebruch(1.5)", "twist must be an integer, got 3/2"),
+        ("cube(2,1/0)", "bad catalog parameters '2,1/0': 1/0: division by zero"),
+    ])
+    def test_bad_parameter_is_named_as_written(self, capsys, spec, message):
+        assert run(capsys, "delzant", "--catalog", spec) == (2, "", f"error: {message}\n")
 
     def test_sources_are_exclusive(self, capsys, tmp_path):
         path = tmp_path / "p.json"
@@ -461,6 +470,18 @@ class TestPlumbing:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_console_script_target(self, capsys, monkeypatch):
+        # the [project.scripts] entry, called as the installed script would call it
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        module, _, name = pyproject["project"]["scripts"]["torickit"].partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["torickit", "delzant", "--catalog", "simplex(2)"])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["is_delzant"] is True
 
     @pytest.mark.skipif(shutil.which("torickit") is None, reason="script not on PATH")
     def test_console_script(self):

@@ -4,8 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torickit import AffineForm, OutOfFloatRange, Polynomial, UnimodularMap, exact
+
+from oracles import (
+    fraction_affine_rank,
+    fraction_det,
+    fraction_inverse,
+    fraction_kernel_vector,
+    fraction_rank,
+    fraction_solve,
+)
 
 
 def _known_rank_cases():
@@ -168,3 +179,53 @@ def test_primitive():
     # rational input scales to the primitive integer direction
     assert exact.primitive((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
     assert exact.primitive((Fraction(0), Fraction(-5))) == (0, -1)
+
+
+# Entries are mostly small integers and zeros, so pivots often need a row
+# swap; a product B C through a narrow inner dimension is rank-deficient.
+ENTRY = st.one_of(
+    st.just(0), st.integers(-3, 3), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+
+    def matrix(r, c):
+        return draw(st.lists(st.lists(ENTRY, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        rows = matrix(nrows, ncols)
+    else:
+        k = draw(st.integers(0, min(nrows, ncols)))
+        b, c = matrix(nrows, k), matrix(k, ncols)
+        rows = [[sum((x * c[i][j] for i, x in enumerate(row)), Fraction(0)) for j in range(ncols)]
+                for row in b]
+    zero = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    return [[0 if j in zero else x for j, x in enumerate(row)] for row in rows]
+
+
+def _inverse_or_none(rows):
+    try:
+        return exact.inverse(rows)
+    except ZeroDivisionError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices(), st.lists(ENTRY, min_size=5, max_size=5))
+@example([], [])
+@example([[Fraction(-2, 3)]], [1])
+@example([[0, 1, 2], [3, 0, 1], [1, 1, 0]], [1, 2, 3])
+def test_kernel_matches_fraction_elimination(rows, rhs):
+    ncols = len(rows[0]) if rows else 1
+    assert exact.rank(rows) == fraction_rank(rows)
+    assert exact.kernel_vector(rows, ncols) == fraction_kernel_vector(rows, ncols)
+    assert exact.affine_rank(rows) == fraction_affine_rank(rows)
+    # the leading square block
+    square = [row[: len(rows)] for row in rows[:ncols]]
+    rhs = rhs[: len(square)]
+    assert exact.det(square) == fraction_det(square)
+    assert exact.solve(square, rhs) == fraction_solve(square, rhs)
+    assert _inverse_or_none(square) == fraction_inverse(square)

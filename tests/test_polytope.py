@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torickit import (
@@ -18,6 +18,7 @@ from torickit import (
     NotDelzantVertex,
     ParseError,
     RedundantForm,
+    ToricError,
     Unbounded,
     UnimodularMap,
     UnknownName,
@@ -295,6 +296,50 @@ class TestUnimodularMap:
         x = (F(3, 2), F(4))
         y = m.apply_point(x)
         assert m.apply_form(form).value(y) == form.value(x)
+
+
+@st.composite
+def polytopes(draw):
+    """A catalog entry or a bounded, full-dimensional `halfspace_systems` draw."""
+    if draw(st.booleans()):
+        name, params = draw(st.sampled_from(CATALOG_DEFAULTS))
+        return catalog(name, *params)
+    forms, n = draw(halfspace_systems())
+    try:
+        return DelzantPolytope.from_forms(forms, n)
+    except ToricError:
+        assume(False)
+
+
+def vertex_fields(p):
+    return [(v.coordinates, v.incident_facets, v.edge_generators) for v in p.vertices]
+
+
+class TestTransport:
+    """Lattice images carry their vertex data through the map; a fresh walk
+    over the image's forms must give every field the same, in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(polytopes(), st.data())
+    def test_images_match_a_fresh_walk(self, p, data):
+        um = data.draw(lattice_maps(p.n))
+        q = um.apply_polytope(p)
+        want = DelzantPolytope.from_forms([um.apply_form(f) for f in p.forms], p.n)
+        assert q.forms == want.forms
+        assert vertex_fields(q) == vertex_fields(want)
+        assert q.affine_span_rank == want.affine_span_rank
+
+        v = data.draw(st.sampled_from(q.vertices))
+        try:
+            m, r = normalize_at_vertex(q, v)
+        except NotDelzantVertex:
+            return
+        basis = [AffineForm(tuple(int(i == j) for j in range(p.n)), 0) for i in range(p.n)]
+        mapped = [m.apply_form(f) for f in q.forms]
+        want = DelzantPolytope.from_forms(basis + [f for f in mapped if f not in basis], p.n)
+        assert r.forms == want.forms
+        assert vertex_fields(r) == vertex_fields(want)
+        assert r.affine_span_rank == want.affine_span_rank
 
 
 class TestCatalog:
