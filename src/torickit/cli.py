@@ -14,6 +14,7 @@ Exit codes: 0 success / Einstein, 1 failed check or geometric error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import exact, sampling
 from .curvature import ScalarField, extremality_from_samples, scalar_curvatures
-from .errors import BadMargin, BadParams, OutOfFloatRange, ParseError, ToricError, UnknownName
+from .errors import BadMargin, BadParams, OutOfFloatRange, ParseError, RedundantForm, ToricError, UnknownName
 from .polytope import DelzantPolytope, catalog, check_delzant, polytope_from_json
 from .potential import SymplecticPotential, potential_from_json
 from .soliton import NEWTON_TOL, Conclusion, fano_normalize, soliton_vector, verify_einstein
@@ -252,12 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # prog is fixed, so one parser serves every call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownName, BadParams, BadMargin, OutOfFloatRange) as e:
+    except (ParseError, UnknownName, BadParams, BadMargin, OutOfFloatRange, RedundantForm) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ToricError as e:

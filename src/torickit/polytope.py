@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -181,6 +182,10 @@ class DelzantPolytope:
             raise ValueError("need at least one form")
         if n is None:
             n = len(forms[0].u)
+        first = {}
+        for k, f in enumerate(forms):
+            if first.setdefault(f, k) != k:
+                raise RedundantForm(f"form {k} ({f.u}) repeats form {first[f]}")
         vertices = enumerate_vertices(forms, n)
         # Every form must cut out a genuine facet.
         for k in range(len(forms)):
@@ -346,7 +351,15 @@ class UnimodularMap:
         return AffineForm(u=u_new, b=b_new)
 
     def apply_polytope(self, p: DelzantPolytope) -> DelzantPolytope:
-        return _carry(p, self, [self.apply_form(f) for f in p.forms], range(p.num_forms))
+        return self._image(p, [self.apply_form(f) for f in p.forms], range(p.num_forms))
+
+    def _image(self, p: DelzantPolytope, mapped, order) -> DelzantPolytope:
+        """p's image with the forms `mapped`, listed in `order`: `_carry`
+        with vertices sent to A (v - t) and edge generators to A g."""
+        return _carry(
+            p, mapped, order, [self.apply_point(v.coordinates) for v in p.vertices],
+            lambda g: tuple(sum(a * b for a, b in zip(row, g)) for row in self.matrix),
+        )
 
     def inverse(self) -> "UnimodularMap":
         a_inv = self.matrix_inverse
@@ -396,32 +409,34 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
             "does not produce each coordinate half space once"
         )
     order += [k for k in range(len(mapped)) if k not in order]
-    return trans, _carry(p, trans, mapped, order)
+    return trans, trans._image(p, mapped, order)
 
 
-def _carry(p: DelzantPolytope, um: UnimodularMap, mapped, order) -> DelzantPolytope:
-    """p's image under um without a second vertex walk: `mapped` holds um's
-    images of p's forms, listed in `order` (new index to old).
+def _carry(p: DelzantPolytope, mapped, order, coords, generator) -> DelzantPolytope:
+    """A polytope with p's combinatorics, built without a vertex walk.
 
-    A vertex v goes to A (v - t) and an edge generator g to A g.  The facets
-    of v orthogonal to g are those of the edge, so its two ends meet under
-    one key.  Vertices and edges are sorted by image coordinates again.
+    `mapped` holds the images of p's forms, listed in `order` (new index to
+    old); `coords[i]` is the image of p's i-th vertex and `generator(g)` that
+    of an edge generator g.  The facets of v orthogonal to g are those of the
+    edge, so its two ends meet under one key.  Vertices and edges are sorted
+    by image coordinates again.
     """
     where = {k: i for i, k in enumerate(order)}
-    coords = [um.apply_point(v.coordinates) for v in p.vertices]
     ends = {}
     for i, v in enumerate(p.vertices):
         for g in v.edge_generators:
-            edge = frozenset(k for k in v.incident_facets if not sum(a * b for a, b in zip(p.forms[k].u, g)))
-            ends.setdefault(edge, []).append((i, tuple(sum(a * b for a, b in zip(row, g)) for row in um.matrix)))
+            edge = frozenset(k for k in v.incident_facets if not sum(map(mul, p.forms[k].u, g)))
+            ends.setdefault(edge, []).append((i, generator(g)))
+    ranked = sorted(range(len(coords)), key=coords.__getitem__)
+    rank = {i: r for r, i in enumerate(ranked)}
     edges = [[] for _ in coords]
     for (i, g), (j, h) in ends.values():
-        edges[i].append((coords[j], g))
-        edges[j].append((coords[i], h))
+        edges[i].append((rank[j], g))
+        edges[j].append((rank[i], h))
     vertices = [
-        VertexData(coords[i], frozenset(where[k] for k in v.incident_facets),
+        VertexData(coords[i], frozenset(where[k] for k in p.vertices[i].incident_facets),
                    tuple(g for _, g in sorted(edges[i])))
-        for i, v in sorted(enumerate(p.vertices), key=lambda iv: coords[iv[0]])
+        for i in ranked
     ]
     return DelzantPolytope([mapped[k] for k in order], vertices, p.n)
 

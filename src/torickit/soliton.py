@@ -21,13 +21,14 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, factorial, inf, log2
+from operator import mul
 
 import numpy as np
 
 from . import exact, sampling
 from .curvature import AffineFit, affine_fit
 from .errors import MaxIterations, NotFano, QuadratureNotConverged, ToricError
-from .polytope import AffineForm, DelzantPolytope, check_delzant
+from .polytope import AffineForm, DelzantPolytope, _carry, check_delzant
 from .potential import SymplecticPotential, metric_jets
 
 NEWTON_TOL = 1e-10
@@ -133,6 +134,7 @@ class FanoPolytope:
 
     def __init__(self, base: DelzantPolytope):
         self.base = base
+        self._last = None  # (a.tobytes(), moments) of the last _moments call
 
     @property
     def n(self) -> int:
@@ -162,11 +164,34 @@ class FanoPolytope:
 def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
     """Anticanonical model with the same normals and offsets all -1.
 
-    Raises NotFano when the model is not Delzant (for example three
-    facets meeting at a candidate vertex) or the facet-vertex incidence
-    combinatorics differ from those of p.
+    Its vertices follow from p's by an exact certificate.  Let v be a
+    vertex of p with tight forms I and edge generators g_1..g_n.  When
+    <u_k, g_j> (k in I) is a permutation matrix, the tight normals and the
+    generators are dual lattice bases, and w_v = -sum_j g_j solves
+    <u_k, w_v> = -1 for k in I.  When besides <u_k, w_v> > -1 for every
+    other k, at every vertex, the offsets -1 are strictly convex on the
+    complete simplicial fan of p: the model is ample on that fan (Cox,
+    Little and Schenck, Toric Varieties, section 6.1).  Its vertices are
+    then exactly the w_v, with p's incidences and edge generators, so it
+    is Delzant and its vertex data are carried over from p.  (A form
+    tight at no vertex fails the test: it is negative somewhere on that
+    polytope, which holds the origin inside, so at most -1 at some
+    integer point w_v.)
+
+    Otherwise the model is walked, and that walk can only raise NotFano.
+    Were the walked model Delzant with p's incidences, its vertex with
+    tight set I would have the tangent cone of v, hence v's generators as
+    edges, so the permutation test would pass; and as the vertex with
+    exactly those tight forms it would be w_v, strictly inside every
+    other form.  The walk is kept for its messages: NotFano when the
+    model is not Delzant (for example three facets meeting at a candidate
+    vertex, or a form that is no facet) or its facet-vertex incidences
+    differ from those of p.
     """
     forms = [AffineForm(u=f.u, b=Fraction(-1)) for f in p.forms]
+    coords = _anticanonical_vertices(p)
+    if coords is not None:
+        return FanoPolytope(_carry(p, forms, range(len(forms)), coords, lambda g: g))
     try:
         model = DelzantPolytope.from_forms(forms, p.n)
     except ToricError as e:
@@ -186,6 +211,27 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
     return FanoPolytope(model)
 
 
+def _anticanonical_vertices(p: DelzantPolytope):
+    """The model's vertex w_v for each vertex v of p, or None when the
+    certificate of `fano_normalize` fails."""
+    n, normals = p.n, [f.u for f in p.forms]
+    basis = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
+    coords = []
+    for v in p.vertices:
+        gens = v.edge_generators
+        if len(v.incident_facets) != n or len(gens) != n:
+            return None
+        rows = [tuple(sum(map(mul, normals[k], g)) for g in gens) for k in v.incident_facets]
+        if sorted(rows) != basis:
+            return None
+        w = [-sum(c) for c in zip(*gens)]
+        for k, u in enumerate(normals):
+            if k not in v.incident_facets and sum(map(mul, u, w)) <= -1:
+                return None
+        coords.append(tuple(map(Fraction, w)))
+    return coords
+
+
 # ---------------------------------------------------------------------------
 # integrals and the soliton vector
 
@@ -199,8 +245,12 @@ def _moments(fp: FanoPolytope, a: np.ndarray):
 
     (Baldoni, Berline, De Loera, Koppe and Vergne, arXiv:0809.2083).  As
     sum_k beta_k (1, v_k) = (1, x), these times h_k h_l^T sum to all three
-    moments.  Raises QuadratureNotConverged on overflow.
+    moments.  Raises QuadratureNotConverged on overflow.  The moments at the
+    last a are kept on fp, so asking again at the same a costs nothing.
     """
+    key = a.tobytes()
+    if fp._last is not None and fp._last[0] == key:
+        return fp._last[1]
     hk, hl, nodes, weights = fp._cells
     with np.errstate(over="ignore", invalid="ignore"):
         dd = _exp_divided_differences((nodes @ a).reshape(-1, fp.n + 3))
@@ -208,14 +258,17 @@ def _moments(fp: FanoPolytope, a: np.ndarray):
         full = half + half.T
     if not np.all(np.isfinite(full)):
         raise QuadratureNotConverged(f"moments of e^<a,x> overflow at a = {a.tolist()}")
-    return float(full[0, 0]), full[1:, 0], full[1:, 1:]
+    moments = float(full[0, 0]), full[1:, 0], full[1:, 1:]
+    fp._last = key, moments
+    return moments
 
 
 def polytope_integral(fp: FanoPolytope, a, integrand: str = "1"):
     """Integral of {1, x, x x^T}[integrand] * e^{<a, x>} over the polytope.
 
     The integral is exact up to rounding (see _moments); a weight that
-    overflows double precision raises QuadratureNotConverged.
+    overflows double precision raises QuadratureNotConverged.  Arrays are
+    returned as copies, so changing one leaves the moments kept on fp.
     """
     if isinstance(fp, DelzantPolytope):
         fp = FanoPolytope(fp)
@@ -223,7 +276,8 @@ def polytope_integral(fp: FanoPolytope, a, integrand: str = "1"):
     order = {"1": 0, "x": 1, "xx": 2}.get(integrand)
     if order is None:
         raise ValueError(f"unknown integrand {integrand!r}")
-    return _moments(fp, a)[order]
+    value = _moments(fp, a)[order]
+    return value if order == 0 else value.copy()
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ elimination code: curvature comes from sympy symbolic differentiation or
 from a metric jet built entry by entry, moments from scipy adaptive
 quadrature over a halfspace description, areas from the shoelace formula,
 vertices from an exhaustive search over basic solutions, linear algebra
-from Gauss-Jordan elimination over Fraction.
+from Gauss-Jordan elimination over Fraction, the anticanonical model from
+a fresh vertex walk over its own forms.
 """
 
 import itertools
@@ -14,7 +15,17 @@ from math import factorial, gcd, prod
 
 import numpy as np
 
-from torickit import Empty, LowerDimensional, Unbounded, VertexData
+from torickit import (
+    AffineForm,
+    DelzantPolytope,
+    Empty,
+    LowerDimensional,
+    NotFano,
+    ToricError,
+    Unbounded,
+    VertexData,
+    check_delzant,
+)
 
 
 def shoelace_area(vertices):
@@ -347,3 +358,25 @@ def reference_vertices(forms, n):
         gens = tuple(_primitive([a - b for a, b in zip(w, v)]) for w in adjacent)
         vertices.append(VertexData(v, found[v], gens))
     return tuple(vertices)
+
+
+def walked_fano_model(p):
+    """The anticanonical model of p as `fano_normalize` once built it: a
+    vertex walk over p's normals with every offset -1, then the Delzant
+    and incidence checks.  Raises NotFano with the package's messages."""
+    forms = [AffineForm(f.u, Fraction(-1)) for f in p.forms]
+    try:
+        model = DelzantPolytope.from_forms(forms, p.n)
+    except ToricError as e:
+        raise NotFano(f"anticanonical model degenerates: {e}") from e
+    failing = check_delzant(model).failing()
+    if failing:
+        bad = failing[0]
+        raise NotFano(
+            f"anticanonical vertex {tuple(map(str, bad.coordinates))} has "
+            f"{bad.facet_count} facets, {bad.edge_count} edges, "
+            f"edge determinant {bad.edge_det}"
+        )
+    if {v.incident_facets for v in p.vertices} != {v.incident_facets for v in model.vertices}:
+        raise NotFano("anticanonical model changes the facet incidence combinatorics")
+    return model

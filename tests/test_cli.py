@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torickit import CATALOG_DEFAULTS, Polynomial, SymplecticPotential, catalog, interior_grid
+from torickit import cli
 from torickit.cli import main
 
 F = Fraction
@@ -107,6 +108,16 @@ class TestDelzant:
         assert rc == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"u": [1, 0], "b": "0"}, "form 4 ((1, 0)) repeats form 0"),
+        ({"u": [1, 1], "b": "-3"}, "form 4 ((1, 1)) is not a facet"),
+    ])
+    def test_redundant_form_is_bad_input(self, capsys, tmp_path, extra, message):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"n": 2, "forms": catalog("cube", 2).to_json()["forms"] + [extra]}))
+        rc, out, err = run(capsys, "delzant", "--input", str(path))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_unknown_catalog_name(self, capsys):
         rc, _, err = run(capsys, "delzant", "--catalog", "dodecahedron(12)")
@@ -432,6 +443,44 @@ class TestPlumbing:
             )
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
+
+    # every subcommand, with the options one call sets and the next leaves
+    # out, and two bad-flag exits from argparse
+    BACK_TO_BACK = [
+        ["curvature", "--catalog", "simplex(2)", "--grid", "4", "--random", "5", "--seed", "3"],
+        ["verify", "--catalog", "cube(2)", "-a", "1", "0", "--format", "csv"],
+        ["curvature", "--catalog", "simplex(2)", "--grid", "4", "--method", "finite-difference"],
+        ["verify", "--catalog", "blowup_cp2(1)", "--from-soliton", "--grid", "5"],
+        ["delzant", "--catalog", "cube(2)", "--format", "csv"],
+        ["curvature", "--catalog", "simplex(2)", "--grid", "4"],
+        ["verify", "--catalog", "cube(2)", "--grid", "5"],
+        ["soliton", "--catalog", "blowup_cp2(1)"],
+        ["curvature", "--catalog", "simplex(2)", "--method", "exact"],
+        ["verify", "--catalog", "cube(2)", "-a"],
+        ["delzant", "--catalog", "simplex(2)"],
+    ]
+
+    @staticmethod
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as e:
+                rc = e.code
+        return rc, out.getvalue(), err.getvalue()
+
+    def test_one_parser_serves_calls_back_to_back(self):
+        # a fresh parser per call, as separate processes would build
+        separate = {}
+        for argv in self.BACK_TO_BACK:
+            cli._parser.cache_clear()
+            separate[tuple(argv)] = self.call(argv)
+        assert [separate[tuple(argv)][0] for argv in self.BACK_TO_BACK] == [0, 3, 0, 4, 0, 0, 2, 0, 2, 2, 0]
+        for calls in (self.BACK_TO_BACK, self.BACK_TO_BACK[::-1]):
+            cli._parser.cache_clear()
+            for argv in calls:
+                assert self.call(argv) == separate[tuple(argv)], argv
 
     def test_output_silences_stdout(self, capsys, tmp_path):
         path = tmp_path / "rep.json"

@@ -129,6 +129,13 @@ class TestEnumeration:
                 2,
             )
 
+    def test_repeated_form(self):
+        # x >= 0 twice: each copy alone would pass as a facet
+        with pytest.raises(RedundantForm, match=r"^form 1 \(\(1, 0\)\) repeats form 0$"):
+            DelzantPolytope.from_forms(
+                forms_2d((1, 0, 0), (1, 0, 0), (0, 1, 0), (-1, 0, -1), (0, -1, -1)), 2
+            )
+
     def test_enumeration_commutes_with_unimodular_maps(self):
         rng = np.random.default_rng(3)
         p = catalog("hirzebruch", 1)

@@ -12,22 +12,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import lattice_maps
+from strategies import halfspace_systems, lattice_maps
 import torickit.potential
 import torickit.soliton
 from torickit import exact
 from torickit import (
+    CATALOG_DEFAULTS,
     AffineForm,
     Conclusion,
     DelzantPolytope,
+    FanoPolytope,
     MaxIterations,
     NotFano,
     QuadratureNotConverged,
     SymplecticPotential,
+    ToricError,
     UnimodularMap,
     NotPositiveDefinite,
     Polynomial,
@@ -186,6 +189,16 @@ class TestQuadrature:
         assert np.allclose(polytope_integral(fp, a, "xx"), m2, rtol=0, atol=1e-13 * m0)
 
 
+# same normal fan type as hirzebruch(2), different presentation
+DEGREE_TWO_FAN = DelzantPolytope.from_forms(
+    [AffineForm((1, 0), F(0)), AffineForm((0, 1), F(0)), AffineForm((0, -1), F(-3)), AffineForm((-1, 2), F(-1))], 2
+)
+# a vertex with edge determinant 2, where the permutation test is all that fails
+DET_TWO_TRIANGLE = DelzantPolytope.from_forms(
+    [AffineForm((1, 0), F(0)), AffineForm((0, 1), F(0)), AffineForm((-1, -2), F(-2))], 2
+)
+
+
 class TestFanoNormalize:
     def test_cp2_anticanonical_triangle(self):
         fp = fano_normalize(catalog("simplex", 2))
@@ -223,15 +236,15 @@ class TestFanoNormalize:
             fano_normalize(catalog("hirzebruch", 3))
 
     def test_explicit_degree_two_fan_is_rejected(self):
-        # same normal fan type as hirzebruch(2), different presentation
-        forms = [
-            AffineForm((1, 0), F(0)),
-            AffineForm((0, 1), F(0)),
-            AffineForm((0, -1), F(-3)),
-            AffineForm((-1, 2), F(-1)),
-        ]
-        p = DelzantPolytope.from_forms(forms, 2)
         with pytest.raises(NotFano):
+            fano_normalize(DEGREE_TWO_FAN)
+
+    def test_a_form_tight_at_no_vertex_fails_the_certificate(self):
+        # only a hand-built polytope can list one; it is at most -1 at some w_v
+        p = catalog("cube", 2)
+        p = DelzantPolytope((*p.forms, AffineForm((1, 1), F(-5))), p.vertices, 2)
+        assert torickit.soliton._anticanonical_vertices(p) is None
+        with pytest.raises(NotFano, match="incidence"):
             fano_normalize(p)
 
     def test_vertex_count_is_preserved(self):
@@ -246,6 +259,130 @@ class TestFanoNormalize:
             p = catalog(name, *params)
             fp = fano_normalize(p)
             assert len(fp.base.vertices) == len(p.vertices)
+
+
+def _entry(entry):
+    name, params = entry
+    return catalog(name, *params)
+
+
+def _product(*factors):
+    """The product polytope, each factor's forms on its own coordinates."""
+    n = sum(p.n for p in factors)
+    forms, before = [], 0
+    for p in factors:
+        forms += [AffineForm((0,) * before + f.u + (0,) * (n - before - p.n), f.b) for f in p.forms]
+        before += p.n
+    return DelzantPolytope.from_forms(forms, n)
+
+
+FANO_ENTRIES = list(CATALOG_DEFAULTS) + [("hirzebruch", (2,)), ("hirzebruch", (3,))]
+FACTORS = [("simplex", (1,)), ("simplex", (2,)), ("simplex", (3,)), ("hirzebruch", (1,)),
+           ("hirzebruch", (2,)), ("blowup_cp2", (1,)), ("blowup_cp2", (3,))]
+# dims 3-4, e.g. P^1 x Bl_1 P^2 and Bl_1 P^2 x Bl_3 P^2
+PRODUCTS = [(a, b) for a, b in itertools.combinations_with_replacement(FACTORS, 2)
+            if 3 <= _entry(a).n + _entry(b).n <= 4]
+# P^3 blown up at a point, as its anticanonical model
+BLOWUP_P3 = DelzantPolytope.from_forms(
+    [AffineForm(u, F(-1)) for u in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)]], 3
+)
+
+
+@st.composite
+def fano_candidates(draw):
+    """A catalog entry, a product in dims 3-4 or Bl_1 P^3 under a lattice
+    map with a rational shift, or a bounded `halfspace_systems` draw."""
+    kind = draw(st.sampled_from(["catalog", "product", "blowup", "system"]))
+    if kind == "system":
+        forms, n = draw(halfspace_systems())
+        try:
+            return DelzantPolytope.from_forms(forms, n)
+        except ToricError:
+            assume(False)
+    if kind == "catalog":
+        p = _entry(draw(st.sampled_from(FANO_ENTRIES)))
+    elif kind == "product":
+        p = _product(*map(_entry, draw(st.sampled_from(PRODUCTS))))
+    else:
+        p = BLOWUP_P3
+    return draw(lattice_maps(p.n)).apply_polytope(p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(fano_candidates())
+@example(catalog("hirzebruch", 2))
+@example(catalog("hirzebruch", 3))
+@example(DEGREE_TWO_FAN)
+@example(DET_TWO_TRIANGLE)
+def test_certified_model_matches_the_walk(p):
+    """fano_normalize carries p's vertex data to the model; a walk over the
+    model's own forms must give every field the same, or the same NotFano.
+    The certificate holds exactly when the walk succeeds."""
+    certified = torickit.soliton._anticanonical_vertices(p) is not None
+    try:
+        want = oracles.walked_fano_model(p)
+    except NotFano as e:
+        assert not certified
+        with pytest.raises(NotFano) as got:
+            fano_normalize(p)
+        assert str(got.value) == str(e)
+        return
+    assert certified
+    got = fano_normalize(p).base
+    assert got.forms == want.forms
+    fields = [[(v.coordinates, v.incident_facets, v.edge_generators) for v in q.vertices] for q in (got, want)]
+    assert fields[0] == fields[1]
+    assert all(type(c) is F for v in got.vertices for c in v.coordinates)
+    assert got.affine_span_rank == want.affine_span_rank
+
+
+class TestMomentCache:
+    """FanoPolytope keeps the moments of the last vector it was asked at."""
+
+    @staticmethod
+    def solved():
+        fp = fano_normalize(catalog("blowup_cp2", 2))
+        return fp, soliton_vector(fp).a
+
+    def test_cached_moments_are_bit_identical_to_fresh_ones(self):
+        fp, a = self.solved()
+        assert fp._last[0] == a.tobytes()  # the solve leaves its last moments
+        for which in ("1", "x", "xx"):
+            fresh = polytope_integral(FanoPolytope(fp.base), a, which)
+            for _ in range(2):
+                got = polytope_integral(fp, a, which)
+                assert type(got) is type(fresh)
+                assert np.asarray(got).tobytes() == np.asarray(fresh).tobytes()
+
+    def test_changing_a_result_leaves_the_next_call(self):
+        fp, a = self.solved()
+        for which in ("x", "xx"):
+            want = polytope_integral(fp, a, which)
+            polytope_integral(fp, a, which)[...] = 7.0
+            assert np.array_equal(polytope_integral(fp, a, which), want)
+
+    def test_another_vector_recomputes(self, monkeypatch):
+        calls = []
+        divided_differences = torickit.soliton._exp_divided_differences
+
+        def count(nodes):
+            calls.append(nodes)
+            return divided_differences(nodes)
+
+        monkeypatch.setattr(torickit.soliton, "_exp_divided_differences", count)
+        fp = fano_normalize(catalog("cube", 2))
+        for a, computed in (([0.0, 0.0], 1), ([0.0, 0.0], 1), ([-0.0, 0.0], 2), ([0.0, 0.0], 3),
+                            ([0.5, 0.0], 4), ([0.5, 0.0], 4)):
+            polytope_integral(fp, a, "1")
+            assert len(calls) == computed
+
+    def test_overflow_raises_on_every_call(self):
+        fp = fano_normalize(catalog("cube", 2))
+        polytope_integral(fp, [1.0, 0.0], "1")
+        for _ in range(2):
+            with pytest.raises(QuadratureNotConverged, match="overflow"):
+                polytope_integral(fp, [800.0, 0.0], "x")
+        assert polytope_integral(fp, [1.0, 0.0], "1") == pytest.approx(4.0 * np.sinh(1.0))
 
 
 class TestSolitonVector:
