@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import exact, sampling
-from .curvature import ScalarField, extremality_from_samples, scalar_curvatures
+from .curvature import extremality_from_samples, scalar_curvature_fd, scalar_curvatures
 from .errors import BadMargin, BadParams, OutOfFloatRange, ParseError, RedundantForm, ToricError, UnknownName
 from .polytope import DelzantPolytope, catalog, check_delzant, polytope_from_json
 from .potential import SymplecticPotential, potential_from_json
@@ -141,14 +141,16 @@ def cmd_delzant(args) -> int:
 def cmd_curvature(args) -> int:
     config = _config(args)
     pot = _load_potential(args)
-    field = ScalarField(pot, method=args.method)
     if args.random:
         pts = sampling.random_interior_points(
             pot.polytope, args.random, margin=args.margin, rng=args.seed
         )
     else:
         pts = sampling.interior_grid(pot.polytope, args.grid, args.margin)
-    values = field.sample(pts)
+    if args.method == "analytic":
+        values = scalar_curvatures(pot, pts)
+    else:
+        values = np.array([scalar_curvature_fd(pot, x) for x in pts])
     # The affinity test always fits analytic curvature on the grid.
     if args.random or args.method != "analytic":
         grid_pts = sampling.interior_grid(pot.polytope, args.grid, args.margin)
@@ -266,6 +268,9 @@ def main(argv=None) -> int:
     except ToricError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except MemoryError as e:  # a grid or sample count too large to hold
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 def entry() -> None:

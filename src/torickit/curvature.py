@@ -145,29 +145,6 @@ def scalar_curvature_fd(
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Scalar curvature as a callable field with a method tag."""
-
-    potential: SymplecticPotential
-    method: str = "analytic"
-
-    def __post_init__(self):
-        if self.method not in ("analytic", "finite-difference"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-    def __call__(self, x) -> float:
-        if self.method == "analytic":
-            return scalar_curvature(self.potential, x)
-        return scalar_curvature_fd(self.potential, x)
-
-    def sample(self, points) -> np.ndarray:
-        """The field at each row of `points` (analytic: in batches)."""
-        if self.method == "analytic":
-            return scalar_curvatures(self.potential, points)
-        return np.array([scalar_curvature_fd(self.potential, x) for x in points])
-
-
-@dataclass(frozen=True)
 class AffineFit:
     """Least-squares affine model c0 + <c, x> of sampled values."""
 
@@ -241,12 +218,6 @@ def extremality_from_samples(points, values, tol: float | None = None) -> tuple[
         spread = float(values.max() - values.min())
         tol = AFFINITY_RTOL * max(1.0, spread, abs(float(values.mean())))
     return fit.max_residual <= tol, fit
-
-
-def grad_length_squared(a, pot: SymplecticPotential, x) -> float:
-    """Squared metric gradient length of the affine function <a, x>."""
-    a = np.asarray(a, dtype=float)
-    return float(a @ metric_jet(pot, x).G_inv @ a)
 
 
 def soliton_identity_residual(pot: SymplecticPotential, a, points) -> tuple[float, float]:

@@ -179,13 +179,6 @@ def det(rows) -> Fraction:
     return Fraction(d, scale) if len(pivots) == n else Fraction(0)
 
 
-def solve(rows, rhs):
-    """Solve a square exact system; None when singular."""
-    n = _order(rows)
-    reduced, pivots, d = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], n)
-    return tuple(Fraction(row[n], d) for row in reduced) if len(pivots) == n else None
-
-
 def inverse(rows):
     """Exact inverse of a nonsingular square matrix."""
     n = _order(rows)

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import exact, sampling
 from .curvature import AffineFit, affine_fit
-from .errors import MaxIterations, NotFano, QuadratureNotConverged, ToricError
-from .polytope import AffineForm, DelzantPolytope, _carry, check_delzant
+from .errors import MaxIterations, NotFano, QuadratureNotConverged
+from .polytope import AffineForm, DelzantPolytope, _carry
 from .potential import SymplecticPotential, metric_jets
 
 NEWTON_TOL = 1e-10
@@ -130,7 +130,9 @@ def _exp_divided_differences(nodes: np.ndarray) -> np.ndarray:
 
 
 class FanoPolytope:
-    """Anticanonical Delzant model: every offset is -1, origin interior."""
+    """A polytope's float triangulation and the moments of the last vector
+    they were asked at.  It holds any Delzant polytope; `fano_normalize` is
+    what makes it the anticanonical model, every offset -1, origin interior."""
 
     def __init__(self, base: DelzantPolytope):
         self.base = base
@@ -176,60 +178,34 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
     is Delzant and its vertex data are carried over from p.  (A form
     tight at no vertex fails the test: it is negative somewhere on that
     polytope, which holds the origin inside, so at most -1 at some
-    integer point w_v.)
-
-    Otherwise the model is walked, and that walk can only raise NotFano.
-    Were the walked model Delzant with p's incidences, its vertex with
-    tight set I would have the tangent cone of v, hence v's generators as
-    edges, so the permutation test would pass; and as the vertex with
-    exactly those tight forms it would be w_v, strictly inside every
-    other form.  The walk is kept for its messages: NotFano when the
-    model is not Delzant (for example three facets meeting at a candidate
-    vertex, or a form that is no facet) or its facet-vertex incidences
-    differ from those of p.
+    integer point w_v.)  Otherwise NotFano names the first vertex of p
+    where the certificate fails, and the test that failed there.
     """
-    forms = [AffineForm(u=f.u, b=Fraction(-1)) for f in p.forms]
-    coords = _anticanonical_vertices(p)
-    if coords is not None:
-        return FanoPolytope(_carry(p, forms, range(len(forms)), coords, lambda g: g))
-    try:
-        model = DelzantPolytope.from_forms(forms, p.n)
-    except ToricError as e:
-        raise NotFano(f"anticanonical model degenerates: {e}") from e
-    report = check_delzant(model)
-    if not report.is_delzant:
-        bad = report.failing()[0]
-        raise NotFano(
-            f"anticanonical vertex {tuple(map(str, bad.coordinates))} has "
-            f"{bad.facet_count} facets, {bad.edge_count} edges, "
-            f"edge determinant {bad.edge_det}"
-        )
-    original = {v.incident_facets for v in p.vertices}
-    normalized = {v.incident_facets for v in model.vertices}
-    if original != normalized:
-        raise NotFano("anticanonical model changes the facet incidence combinatorics")
-    return FanoPolytope(model)
-
-
-def _anticanonical_vertices(p: DelzantPolytope):
-    """The model's vertex w_v for each vertex v of p, or None when the
-    certificate of `fano_normalize` fails."""
     n, normals = p.n, [f.u for f in p.forms]
     basis = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
     coords = []
     for v in p.vertices:
+        at = f"vertex {tuple(map(str, v.coordinates))} of p"
         gens = v.edge_generators
         if len(v.incident_facets) != n or len(gens) != n:
-            return None
+            raise NotFano(
+                f"{at} has {len(v.incident_facets)} facets and {len(gens)} edges, "
+                f"not {n}: p is not simple there"
+            )
         rows = [tuple(sum(map(mul, normals[k], g)) for g in gens) for k in v.incident_facets]
         if sorted(rows) != basis:
-            return None
+            raise NotFano(f"at {at} the tight normals and the edge generators are not dual bases")
         w = [-sum(c) for c in zip(*gens)]
         for k, u in enumerate(normals):
-            if k not in v.incident_facets and sum(map(mul, u, w)) <= -1:
-                return None
+            value = sum(map(mul, u, w))
+            if k not in v.incident_facets and value <= -1:
+                raise NotFano(
+                    f"form {k} reaches {value} at the model vertex {tuple(w)} of {at}, "
+                    "so -K is not ample"
+                )
         coords.append(tuple(map(Fraction, w)))
-    return coords
+    forms = [AffineForm(u=u, b=Fraction(-1)) for u in normals]
+    return FanoPolytope(_carry(p, forms, range(len(forms)), coords, lambda g: g))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +246,6 @@ def polytope_integral(fp: FanoPolytope, a, integrand: str = "1"):
     overflows double precision raises QuadratureNotConverged.  Arrays are
     returned as copies, so changing one leaves the moments kept on fp.
     """
-    if isinstance(fp, DelzantPolytope):
-        fp = FanoPolytope(fp)
     a = np.zeros(fp.n) if a is None else np.asarray(a, dtype=float)
     order = {"1": 0, "x": 1, "xx": 2}.get(integrand)
     if order is None:

@@ -262,12 +262,6 @@ def fraction_det(rows):
     return product if len(pivots) == n else Fraction(0)
 
 
-def fraction_solve(rows, rhs):
-    n = len(rows)
-    reduced, pivots = _row_reduce([list(row) + [b] for row, b in zip(rows, rhs)], n)
-    return tuple(row[n] for row in reduced) if len(pivots) == n else None
-
-
 def fraction_inverse(rows):
     """The inverse, or None for a singular matrix."""
     n = len(rows)
@@ -361,9 +355,9 @@ def reference_vertices(forms, n):
 
 
 def walked_fano_model(p):
-    """The anticanonical model of p as `fano_normalize` once built it: a
-    vertex walk over p's normals with every offset -1, then the Delzant
-    and incidence checks.  Raises NotFano with the package's messages."""
+    """The anticanonical model of p by a vertex walk over p's normals with
+    every offset -1, then the Delzant and incidence checks; NotFano when
+    one of them fails."""
     forms = [AffineForm(f.u, Fraction(-1)) for f in p.forms]
     try:
         model = DelzantPolytope.from_forms(forms, p.n)

@@ -34,13 +34,14 @@ from torickit import (
     metric_jet,
     normalize_at_vertex,
     random_interior_points,
+    scalar_curvature,
+    scalar_curvature_fd,
     soliton_vector,
     verify_einstein,
     vertex_vanishing_probe,
     vertices_affinely_span,
 )
 from torickit import affine_span_rank, sampling
-from torickit.curvature import ScalarField
 
 F = Fraction
 
@@ -94,11 +95,9 @@ def test_criterion_3_cp1_closed_forms():
         for x in pts
     )
     assert ginv_err <= 1e-12
-    analytic = ScalarField(pot, method="analytic")
-    s_err = max(abs(analytic(x) - 4.0) for x in pts)
+    s_err = max(abs(scalar_curvature(pot, x) - 4.0) for x in pts)
     assert s_err <= 1e-8
-    fd = ScalarField(pot, method="finite-difference")
-    fd_err = max(abs(fd(x) - 4.0) for x in pts)
+    fd_err = max(abs(scalar_curvature_fd(pot, x) - 4.0) for x in pts)
     assert fd_err <= 1e-5
     _report(
         3,
@@ -109,21 +108,19 @@ def test_criterion_3_cp1_closed_forms():
 def test_criterion_4_cp2_and_cube_closed_forms():
     pot = _guillemin("simplex", 2)
     pts = interior_grid(pot.polytope, 50)
-    analytic = ScalarField(pot, method="analytic")
     ginv_err = 0.0
     s_err = 0.0
     for p in pts:
         x, y = p
         want = np.array([[2 * x * (1 - x), -2 * x * y], [-2 * x * y, 2 * y * (1 - y)]])
         ginv_err = max(ginv_err, np.max(np.abs(metric_jet(pot, p).G_inv - want)))
-        s_err = max(s_err, abs(analytic(p) - 12.0))
+        s_err = max(s_err, abs(scalar_curvature(pot, p) - 12.0))
     assert ginv_err <= 1e-10
     assert s_err <= 1e-8
 
     cube_pot = _guillemin("cube", 2)
-    cube_field = ScalarField(cube_pot, method="analytic")
     cube_err = max(
-        abs(cube_field(p) - 8.0) for p in interior_grid(cube_pot.polytope, 25)
+        abs(scalar_curvature(cube_pot, p) - 8.0) for p in interior_grid(cube_pot.polytope, 25)
     )
     assert cube_err <= 1e-8
 
@@ -264,8 +261,6 @@ def test_criterion_9_unimodular_covariance():
     q = um.apply_polytope(p)
     pot = SymplecticPotential.guillemin(p)
     pot2 = SymplecticPotential.guillemin(q)
-    s1 = ScalarField(pot, method="analytic")
-    s2 = ScalarField(pot2, method="analytic")
     Af = A.astype(float)
 
     pts = random_interior_points(p, 20, rng=5)
@@ -275,7 +270,7 @@ def test_criterion_9_unimodular_covariance():
         x2 = Af @ x
         law = Af @ metric_jet(pot, x).G_inv @ Af.T
         ginv_err = max(ginv_err, np.max(np.abs(metric_jet(pot2, x2).G_inv - law)))
-        s_err = max(s_err, abs(s2(x2) - s1(x)))
+        s_err = max(s_err, abs(scalar_curvature(pot2, x2) - scalar_curvature(pot, x)))
     assert ginv_err <= 1e-8
     assert s_err <= 1e-8
     _report(

@@ -240,6 +240,14 @@ class TestCurvature:
         assert rc == 2
         assert "grid" in err
 
+    def test_grid_too_large_to_hold(self, capsys):
+        # 10^15 points of cube(3) take 7.1 PiB, beyond any 64-bit address
+        # space, so numpy refuses the array without allocating it
+        rc, out, err = run(capsys, "curvature", "--catalog", "cube(3)", "--grid", "100000")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: Unable to allocate 7.11 PiB")
+
     @pytest.mark.parametrize(
         "flags",
         [["--margin", "5"], ["--random", "5", "--margin", "0.4"]],

@@ -15,13 +15,11 @@ from torickit import (
     DegenerateSampleSet,
     OutsideDomain,
     Polynomial,
-    ScalarField,
     SymplecticPotential,
     affine_fit,
     catalog,
     extremality_check,
     fd_cross_validate,
-    grad_length_squared,
     interior_grid,
     metric_jet,
     random_interior_points,
@@ -134,15 +132,11 @@ class TestFiniteDifferenceRoute:
             want.value.point, want.value.form_index, want.value.value,
         ) == ((2.0, 2.0), 2, -3.0)
 
-    def test_scalar_field_dispatch(self):
+    def test_both_routes_at_one_point(self):
         pot = guillemin("simplex", 2)
         x = np.array([0.3, 0.3])
-        sa = ScalarField(pot, method="analytic")(x)
-        sf = ScalarField(pot, method="finite-difference")(x)
-        assert sa == pytest.approx(12.0, abs=1e-9)
-        assert sf == pytest.approx(12.0, abs=1e-6)
-        with pytest.raises(ValueError):
-            ScalarField(pot, method="symbolic")
+        assert scalar_curvature(pot, x) == pytest.approx(12.0, abs=1e-9)
+        assert scalar_curvature_fd(pot, x) == pytest.approx(12.0, abs=1e-6)
 
     def test_cross_validation_report(self):
         pot = guillemin("hirzebruch", 1)
@@ -214,14 +208,17 @@ class TestExtremality:
 
 
 class TestSolitonQuantities:
-    def test_grad_length_squared_is_quadratic_pairing(self):
+    def test_identity_pairs_a_with_the_one_point_jet(self):
+        # at one point the constant is s + a^T G^{-1} a + 2 <a, x> itself
         pot = guillemin("cube", 2)
         rng = np.random.default_rng(21)
         for _ in range(10):
             a = rng.normal(size=2)
             x = np.array([rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)])
-            want = float(a @ metric_jet(pot, x).G_inv @ a)
-            assert grad_length_squared(a, pot, x) == pytest.approx(want, rel=1e-12)
+            want = scalar_curvature(pot, x) + float(a @ metric_jet(pot, x).G_inv @ a) + 2.0 * float(a @ x)
+            const, resid = soliton_identity_residual(pot, a, [x])
+            assert const == pytest.approx(want, rel=1e-12)
+            assert resid == 0.0
 
     def test_identity_residual_vanishes_for_zero_field(self):
         pot = guillemin("cube", 2)

@@ -15,7 +15,6 @@ from oracles import (
     fraction_inverse,
     fraction_kernel_vector,
     fraction_rank,
-    fraction_solve,
 )
 
 
@@ -111,16 +110,6 @@ def test_det_and_rank_match_numpy_on_random_integer_matrices():
         assert exact.det(a) == 0
 
 
-def test_solve_exact():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    sol = exact.solve(rows, [Fraction(5), Fraction(10)])
-    assert sol == (Fraction(1), Fraction(3))
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert exact.solve(singular, [Fraction(1), Fraction(1)]) is None
-    for a in SINGULAR:
-        assert exact.solve(a, [1] * len(a)) is None
-
-
 def test_inverse_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -145,7 +134,7 @@ def test_inverse_roundtrip():
 @pytest.mark.parametrize("rows", [[[1, 2]], [[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1, 2]]],
                          ids=["1x2", "3x2", "ragged"])
 def test_non_square_matrices_are_refused(rows):
-    for square_only in (exact.det, exact.inverse, lambda a: exact.solve(a, [1] * len(a))):
+    for square_only in (exact.det, exact.inverse):
         with pytest.raises(ValueError, match="not a square matrix"):
             square_only(rows)
 
@@ -214,18 +203,16 @@ def _inverse_or_none(rows):
 
 
 @settings(max_examples=400, deadline=None)
-@given(rational_matrices(), st.lists(ENTRY, min_size=5, max_size=5))
-@example([], [])
-@example([[Fraction(-2, 3)]], [1])
-@example([[0, 1, 2], [3, 0, 1], [1, 1, 0]], [1, 2, 3])
-def test_kernel_matches_fraction_elimination(rows, rhs):
+@given(rational_matrices())
+@example([])
+@example([[Fraction(-2, 3)]])
+@example([[0, 1, 2], [3, 0, 1], [1, 1, 0]])
+def test_kernel_matches_fraction_elimination(rows):
     ncols = len(rows[0]) if rows else 1
     assert exact.rank(rows) == fraction_rank(rows)
     assert exact.kernel_vector(rows, ncols) == fraction_kernel_vector(rows, ncols)
     assert exact.affine_rank(rows) == fraction_affine_rank(rows)
     # the leading square block
     square = [row[: len(rows)] for row in rows[:ncols]]
-    rhs = rhs[: len(square)]
     assert exact.det(square) == fraction_det(square)
-    assert exact.solve(square, rhs) == fraction_solve(square, rhs)
     assert _inverse_or_none(square) == fraction_inverse(square)

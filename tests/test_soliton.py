@@ -130,7 +130,7 @@ class TestTriangulation:
 class TestQuadrature:
     def test_unit_weight_recovers_volume(self, catalog_polytope):
         n = catalog_polytope.n
-        val = polytope_integral(catalog_polytope, [0.0] * n, "1")
+        val = polytope_integral(FanoPolytope(catalog_polytope), [0.0] * n, "1")
         assert val == pytest.approx(float(exact_volume(catalog_polytope)), rel=1e-12)
 
     def test_square_moments(self):
@@ -228,7 +228,8 @@ class TestFanoNormalize:
         assert fp.base.to_json() == p.to_json()
 
     def test_second_hirzebruch_is_rejected(self):
-        with pytest.raises(NotFano, match="not a facet"):
+        with pytest.raises(NotFano, match=r"^form 2 reaches -1 at the model vertex \(1, -1\) "
+                                          r"of vertex \('1', '0'\) of p, so -K is not ample$"):
             fano_normalize(catalog("hirzebruch", 2))
 
     def test_third_hirzebruch_is_rejected(self):
@@ -239,12 +240,27 @@ class TestFanoNormalize:
         with pytest.raises(NotFano):
             fano_normalize(DEGREE_TWO_FAN)
 
+    def test_edge_determinant_two_is_not_dual_bases(self):
+        with pytest.raises(NotFano, match=r"^at vertex \('0', '1'\) of p the tight normals "
+                                          r"and the edge generators are not dual bases$"):
+            fano_normalize(DET_TWO_TRIANGLE)
+
+    def test_a_vertex_on_four_facets_is_not_simple(self):
+        # a square pyramid: its base vertices pass, its apex lies on 4 facets
+        pyramid = DelzantPolytope.from_forms(
+            [AffineForm((0, 0, 1), F(0))]
+            + [AffineForm((*u, -1), F(-1)) for u in ((1, 0), (-1, 0), (0, 1), (0, -1))], 3
+        )
+        with pytest.raises(NotFano, match=r"^vertex \('0', '0', '1'\) of p has 4 facets and 4 edges, "
+                                          r"not 3: p is not simple there$"):
+            fano_normalize(pyramid)
+
     def test_a_form_tight_at_no_vertex_fails_the_certificate(self):
         # only a hand-built polytope can list one; it is at most -1 at some w_v
         p = catalog("cube", 2)
         p = DelzantPolytope((*p.forms, AffineForm((1, 1), F(-5))), p.vertices, 2)
-        assert torickit.soliton._anticanonical_vertices(p) is None
-        with pytest.raises(NotFano, match="incidence"):
+        with pytest.raises(NotFano, match=r"^form 4 reaches -2 at the model vertex \(-1, -1\) "
+                                          r"of vertex \('0', '0'\) of p, so -K is not ample$"):
             fano_normalize(p)
 
     def test_vertex_count_is_preserved(self):
@@ -316,18 +332,15 @@ def fano_candidates(draw):
 @example(DET_TWO_TRIANGLE)
 def test_certified_model_matches_the_walk(p):
     """fano_normalize carries p's vertex data to the model; a walk over the
-    model's own forms must give every field the same, or the same NotFano.
-    The certificate holds exactly when the walk succeeds."""
-    certified = torickit.soliton._anticanonical_vertices(p) is not None
+    model's own forms must give every field the same.  It raises NotFano
+    exactly when the walk does, naming a vertex of p."""
     try:
         want = oracles.walked_fano_model(p)
-    except NotFano as e:
-        assert not certified
+    except NotFano:
         with pytest.raises(NotFano) as got:
             fano_normalize(p)
-        assert str(got.value) == str(e)
+        assert any(f"vertex {tuple(map(str, v.coordinates))} of p" in str(got.value) for v in p.vertices)
         return
-    assert certified
     got = fano_normalize(p).base
     assert got.forms == want.forms
     fields = [[(v.coordinates, v.incident_facets, v.edge_generators) for v in q.vertices] for q in (got, want)]
