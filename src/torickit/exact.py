@@ -42,17 +42,22 @@ def integer(value) -> int:
 def frac(value) -> Fraction:
     """A Fraction (returned as is), an exact integer (see `integer`) or a
     string like '3/4' or '1e-3' as a Fraction; never a bool or a float."""
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
         except ZeroDivisionError:
             raise ZeroDivisionError(f"{value}: division by zero") from None
+    value = _rational(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _rational(value):
+    """A Fraction as is, or an exact integer (see `integer`) as an int;
+    TypeError for anything else."""
+    if isinstance(value, Fraction):
+        return value
     try:
-        return Fraction(integer(value))
+        return integer(value)
     except TypeError:
         raise TypeError(f"not an exact rational: {value!r}") from None
 
@@ -98,13 +103,14 @@ def frac_str(value: Fraction) -> str:
 
 
 def _integer_rows(rows):
-    """Rows scaled to integers by the lcm of their denominators; the product of the scales."""
+    """Rows scaled to integers by the lcm of their denominators; the product
+    of the scales.  TypeError for an entry that is not exact (see `_rational`)."""
     out, scale = [], 1
     for row in rows:
         if all(type(x) is int for x in row):
             out.append(list(row))
             continue
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        row = [_rational(x) for x in row]
         s = lcm(*[x.denominator for x in row])
         out.append([x.numerator * (s // x.denominator) for x in row])
         scale *= s

@@ -42,11 +42,9 @@ class AffineForm:
 
     def __post_init__(self):
         u = tuple(exact.integer(c) for c in self.u)
-        if not u or all(c == 0 for c in u):
+        g = gcd(*u)
+        if not g:
             raise ValueError("normal must be a nonzero integer vector")
-        g = 0
-        for c in u:
-            g = gcd(g, abs(c))
         if g != 1:
             raise ValueError(f"normal {u} is not primitive (gcd {g})")
         object.__setattr__(self, "u", u)
@@ -93,6 +91,22 @@ def enumerate_vertices(forms: Sequence[AffineForm], n: int) -> tuple[VertexData,
     satisfies every form, LowerDimensional when the vertices do not
     affinely span.
     """
+    return _walk(forms, n)[0]
+
+
+def _lowest(h) -> tuple[int, ...]:
+    """The integer row h over the gcd of its entries, its last entry positive."""
+    g = gcd(*h) if h[-1] > 0 else -gcd(*h)
+    return tuple(c // g for c in h)
+
+
+def _point(row) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c, row[-1]) for c in row[:-1])
+
+
+def _walk(forms, n):
+    """`enumerate_vertices`, with the vertices also as the integer rows (X, D)
+    of their points X / D, in lowest terms with D > 0, and the span rank."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     for f in forms:
@@ -103,20 +117,16 @@ def enumerate_vertices(forms: Sequence[AffineForm], n: int) -> tuple[VertexData,
     if line is not None:
         raise Unbounded(f"recession direction {exact.primitive(line)}")
 
-    # A vertex is (X, D), the point X / D in lowest terms with D > 0.  Row k
-    # below dotted with it is q_k D lambda_k, where b_k = p_k / q_k.
+    # Row k below dotted with a vertex (X, D) is q_k D lambda_k, where
+    # b_k = p_k / q_k; dotted with an edge direction (y, 0) it is the slope.
     rows = [(*(f.b.denominator * c for c in f.u), -f.b.numerator) for f in forms]
-
-    def vertex(h):
-        g = gcd(*h) if h[-1] > 0 else -gcd(*h)
-        v = tuple(c // g for c in h)
-        return v, [sum(a * b for a, b in zip(row, v)) for row in rows]
 
     # A polyhedron without lines has a vertex when it is nonempty.
     for subset in itertools.combinations(rows, n):
         reduced, pivots, d = exact._eliminate(subset, n)
         if len(pivots) == n:
-            v, slack = vertex(exact._integer_kernel(reduced, pivots, d, n + 1))
+            v = _lowest(exact._integer_kernel(reduced, pivots, d, n + 1))
+            slack = [sum(map(mul, row, v)) for row in rows]
             if min(slack) >= 0:
                 break
     else:
@@ -124,6 +134,9 @@ def enumerate_vertices(forms: Sequence[AffineForm], n: int) -> tuple[VertexData,
 
     slacks = {v: slack}
     edges = {}
+    # n-1 tight forms -> the edge (v, y) they cut out, found from its end v;
+    # no other vertex lies on their line, so the other end takes it reversed
+    solved = {}
     todo = [v]
     while todo:
         v = todo.pop()
@@ -131,40 +144,52 @@ def enumerate_vertices(forms: Sequence[AffineForm], n: int) -> tuple[VertexData,
         tight = [k for k, value in enumerate(slack) if value == 0]
         edges[v] = out = {}
         for subset in itertools.combinations(tight, n - 1):
+            if subset in solved:
+                w, y = solved[subset]
+                out[w] = tuple(-c for c in y)
+                continue
             reduced, pivots, d = exact._eliminate([normals[k] for k in subset], n)
             if len(pivots) < n - 1:
                 continue
             # the tight normals have rank n, so the sign test below orients y
             y = exact.primitive(exact._integer_kernel(reduced, pivots, d, n))
-            slopes = [sum(a * b for a, b in zip(row, y)) for row in rows]
+            slopes = [sum(map(mul, row, y)) for row in rows]
             along = [slopes[k] for k in tight]
             if min(along) < 0:
                 if max(along) > 0:
                     continue
                 y, slopes = tuple(-c for c in y), [-s for s in slopes]
-            # the ratio test; t is the step times D, so w = (X + t y) / D
-            steps = [Fraction(value, -s) for value, s in zip(slack, slopes) if s < 0]
-            if not steps:
+            # the ratio test: the least step value / -s over the forms that
+            # decrease, compared by cross-multiplying; w = (num y + den X) / den D
+            num, den = None, 1
+            for value, s in zip(slack, slopes):
+                if s < 0 and (num is None or value * den < num * -s):
+                    num, den = value, -s
+            if num is None:
                 raise Unbounded(f"recession direction {y}")
-            t = min(steps)
-            w, slack_w = vertex([t.denominator * c + t.numerator * yc for c, yc in zip(v, (*y, 0))])
+            h = [den * c + num * yc for c, yc in zip(v, (*y, 0))]
+            g = gcd(*h)
+            w = tuple(c // g for c in h)
             out[w] = y
+            solved[subset] = v, y
             if w not in slacks:
-                slacks[w] = slack_w
+                slacks[w] = [(den * a + num * s) // g for a, s in zip(slack, slopes)]
                 todo.append(w)
 
     span = exact.rank(list(slacks)) - 1  # the rows (X, D) span as (1, X / D) do
     if span < n:
         raise LowerDimensional(f"vertices span affine rank {span} < {n}")
-    coords = {v: tuple(Fraction(c, v[-1]) for c in v[:-1]) for v in slacks}
-    return tuple(
+    coords = {v: _point(v) for v in slacks}
+    order = sorted(slacks, key=coords.get)
+    vertices = tuple(
         VertexData(
             coordinates=coords[v],
             incident_facets=frozenset(k for k, value in enumerate(slacks[v]) if value == 0),
             edge_generators=tuple(edges[v][w] for w in sorted(edges[v], key=coords.get)),
         )
-        for v in sorted(slacks, key=coords.get)
+        for v in order
     )
+    return vertices, tuple(order), span
 
 
 class DelzantPolytope:
@@ -186,13 +211,14 @@ class DelzantPolytope:
         for k, f in enumerate(forms):
             if first.setdefault(f, k) != k:
                 raise RedundantForm(f"form {k} ({f.u}) repeats form {first[f]}")
-        vertices = enumerate_vertices(forms, n)
-        # Every form must cut out a genuine facet.
+        vertices, rows, span = _walk(forms, n)
+        # Every form must cut out a genuine facet: its vertex rows have rank n.
         for k in range(len(forms)):
-            tight = [v.coordinates for v in vertices if k in v.incident_facets]
-            if not tight or exact.affine_rank(tight) != n - 1:
+            if exact.rank([r for r, v in zip(rows, vertices) if k in v.incident_facets]) != n:
                 raise RedundantForm(f"form {k} ({forms[k].u}) is not a facet")
-        return cls(forms, vertices, n)
+        p = cls(forms, vertices, n)
+        p.__dict__.update(vertex_rows=rows, affine_span_rank=span)  # the walk's, for the cached properties
+        return p
 
     @property
     def num_forms(self) -> int:
@@ -215,9 +241,16 @@ class DelzantPolytope:
         return exact.floats([v.coordinates for v in self.vertices])
 
     @cached_property
+    def vertex_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex as the integer row (X, D) of its point X / D, in lowest
+        terms with D > 0; the exact consumers read these, not the coordinates."""
+        rows = (exact._integer_rows([v.coordinates]) for v in self.vertices)
+        return tuple((*x, d) for (x,), d in rows)
+
+    @cached_property
     def affine_span_rank(self) -> int:
         """Exact dimension of the affine span of the vertices."""
-        return exact.affine_rank([v.coordinates for v in self.vertices])
+        return exact.rank(self.vertex_rows) - 1 if self.vertices else 0
 
     def lambdas(self, x: np.ndarray) -> np.ndarray:
         """Float values of every defining form at x (points in rows ok)."""
@@ -341,24 +374,33 @@ class UnimodularMap:
         return (np.asarray(x, dtype=float) - t) @ a.T
 
     def apply_form(self, form: AffineForm) -> AffineForm:
-        # lambda'(x') = lambda(x) forces u' = A^{-T} u, b' = b - <u, t>.
+        # lambda'(x') = lambda(x) forces u' = A^{-T} u, b' = b - <u, t>:
+        # with b = p / q and t = T / E, b' = (E p - q <u, T>) / (q E).
         ainv = self.matrix_inverse
         u_new = tuple(
             sum(ainv[i][j] * form.u[i] for i in range(len(form.u)))
             for j in range(len(form.u))
         )
-        b_new = form.b - sum(c * t for c, t in zip(form.u, self.translation))
-        return AffineForm(u=u_new, b=b_new)
+        (shift,), e = exact._integer_rows([self.translation])
+        p, q = form.b.numerator, form.b.denominator
+        return AffineForm(u=u_new, b=Fraction(e * p - q * sum(map(mul, form.u, shift)), q * e))
 
     def apply_polytope(self, p: DelzantPolytope) -> DelzantPolytope:
         return self._image(p, [self.apply_form(f) for f in p.forms], range(p.num_forms))
 
     def _image(self, p: DelzantPolytope, mapped, order) -> DelzantPolytope:
         """p's image with the forms `mapped`, listed in `order`: `_carry`
-        with vertices sent to A (v - t) and edge generators to A g."""
+        with vertices sent to A (v - t) and edge generators to A g.  With
+        t = T / E over a common denominator, the row (X, D) goes to
+        (A (E X - D T), D E) in lowest terms."""
+        (shift,), e = exact._integer_rows([self.translation])
+        rows = []
+        for *x, d in p.vertex_rows:
+            s = [e * c - d * t for c, t in zip(x, shift)]
+            rows.append(_lowest([*(sum(map(mul, row, s)) for row in self.matrix), d * e]))
         return _carry(
-            p, mapped, order, [self.apply_point(v.coordinates) for v in p.vertices],
-            lambda g: tuple(sum(a * b for a, b in zip(row, g)) for row in self.matrix),
+            p, mapped, order, rows,
+            lambda g: tuple(sum(map(mul, row, g)) for row in self.matrix),
         )
 
     def inverse(self) -> "UnimodularMap":
@@ -412,14 +454,14 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
     return trans, trans._image(p, mapped, order)
 
 
-def _carry(p: DelzantPolytope, mapped, order, coords, generator) -> DelzantPolytope:
+def _carry(p: DelzantPolytope, mapped, order, rows, generator) -> DelzantPolytope:
     """A polytope with p's combinatorics, built without a vertex walk.
 
     `mapped` holds the images of p's forms, listed in `order` (new index to
-    old); `coords[i]` is the image of p's i-th vertex and `generator(g)` that
-    of an edge generator g.  The facets of v orthogonal to g are those of the
-    edge, so its two ends meet under one key.  Vertices and edges are sorted
-    by image coordinates again.
+    old); `rows[i]` is the image of p's i-th vertex as an integer row (X, D)
+    in lowest terms, and `generator(g)` that of an edge generator g.  The
+    facets of v orthogonal to g are those of the edge, so its two ends meet
+    under one key.  Vertices and edges are sorted by image coordinates again.
     """
     where = {k: i for i, k in enumerate(order)}
     ends = {}
@@ -427,6 +469,7 @@ def _carry(p: DelzantPolytope, mapped, order, coords, generator) -> DelzantPolyt
         for g in v.edge_generators:
             edge = frozenset(k for k in v.incident_facets if not sum(map(mul, p.forms[k].u, g)))
             ends.setdefault(edge, []).append((i, generator(g)))
+    coords = [_point(row) for row in rows]
     ranked = sorted(range(len(coords)), key=coords.__getitem__)
     rank = {i: r for r, i in enumerate(ranked)}
     edges = [[] for _ in coords]
@@ -438,7 +481,9 @@ def _carry(p: DelzantPolytope, mapped, order, coords, generator) -> DelzantPolyt
                    tuple(g for _, g in sorted(edges[i])))
         for i in ranked
     ]
-    return DelzantPolytope([mapped[k] for k in order], vertices, p.n)
+    q = DelzantPolytope([mapped[k] for k in order], vertices, p.n)
+    q.__dict__["vertex_rows"] = tuple(rows[i] for i in ranked)
+    return q
 
 
 # ---------------------------------------------------------------------------

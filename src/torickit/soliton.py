@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, factorial, inf, log2
+from math import ceil, factorial, inf, lcm, log2, prod
 from operator import mul
 
 import numpy as np
@@ -38,57 +38,57 @@ NEWTON_MAX_ITER = 100
 # ---------------------------------------------------------------------------
 # triangulation (exact)
 
-def _face_simplices(coords, incidences, nforms, vidx, dim):
-    """Pulling triangulation of one face, as tuples of vertex indices.
+def _simplices(p: DelzantPolytope):
+    """Pulling triangulation of p, as tuples of vertex indices.
 
-    The face is the convex hull of the vertices listed in `vidx`; it is
-    coned from its lexicographically smallest vertex over its own
-    facets, recursively.
+    Each face, the vertices listed in `vidx`, is coned from its
+    lexicographically smallest vertex over its own facets, recursively.  A
+    facet of a face of dimension dim is a set of its vertices whose integer
+    rows (X, D) have rank dim, as the rows (1, X / D) do.
     """
-    if len(vidx) == dim + 1:
-        return [tuple(vidx)]
-    apex = min(vidx, key=lambda i: coords[i])
-    simplices = []
-    seen = set()
-    for k in range(nforms):
-        if k in incidences[apex]:
-            continue
-        sub = [i for i in vidx if k in incidences[i]]
-        if len(sub) < dim:
-            continue
-        if exact.affine_rank([coords[i] for i in sub]) != dim - 1:
-            continue
-        key = frozenset(sub)
-        if key in seen:
-            continue
-        seen.add(key)
-        for s in _face_simplices(coords, incidences, nforms, sorted(sub), dim - 1):
-            simplices.append(s + (apex,))
-    return simplices
+    rows, incidences = p.vertex_rows, [v.incident_facets for v in p.vertices]
+    lex = sorted(range(len(rows)), key=lambda i: p.vertices[i].coordinates)
+    place = {i: r for r, i in enumerate(lex)}
+
+    def face(vidx, dim):
+        if len(vidx) == dim + 1:
+            return [tuple(vidx)]
+        apex = min(vidx, key=place.__getitem__)
+        simplices = []
+        seen = set()
+        for k in range(len(p.forms)):
+            if k in incidences[apex]:
+                continue
+            sub = [i for i in vidx if k in incidences[i]]
+            if len(sub) < dim or exact.rank([rows[i] for i in sub]) != dim:
+                continue
+            key = frozenset(sub)
+            if key in seen:
+                continue
+            seen.add(key)
+            for s in face(sorted(sub), dim - 1):
+                simplices.append(s + (apex,))
+        return simplices
+
+    return face(lex, p.n)
 
 
 def triangulate(p: DelzantPolytope):
     """Exact simplices covering the polytope, coned from the lex-smallest
     vertex; each simplex is a tuple of n+1 exact coordinate tuples."""
-    coords = [v.coordinates for v in p.vertices]
-    incidences = [v.incident_facets for v in p.vertices]
-    index_simplices = _face_simplices(
-        coords,
-        incidences,
-        len(p.forms),
-        sorted(range(len(coords)), key=lambda i: coords[i]),
-        p.n,
-    )
-    return tuple(tuple(coords[i] for i in s) for s in index_simplices)
-
-
-def _simplex_volume(simplex) -> Fraction:
-    return abs(exact.det([(1, *v) for v in simplex])) / factorial(len(simplex) - 1)
+    return tuple(tuple(p.vertices[i].coordinates for i in s) for s in _simplices(p))
 
 
 def exact_volume(p: DelzantPolytope) -> Fraction:
-    """Rational volume, summed over the exact triangulation."""
-    return sum((_simplex_volume(s) for s in triangulate(p)), Fraction(0))
+    """Rational volume, summed over the exact triangulation in integers: a
+    simplex of vertex rows (X_i, D_i) has n! vol = |det (X_i, D_i)| / prod D_i."""
+    rows, num, den = p.vertex_rows, 0, 1
+    for s in _simplices(p):
+        cell = [rows[i] for i in s]
+        scale = prod(row[-1] for row in cell)
+        common = lcm(den, scale)
+        num, den = num * (common // den) + abs(int(exact.det(cell))) * (common // scale), common
+    return Fraction(num, den * factorial(p.n))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
     """
     n, normals = p.n, [f.u for f in p.forms]
     basis = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
-    coords = []
+    model = []  # the vertex rows (w_v, 1)
     for v in p.vertices:
         at = f"vertex {tuple(map(str, v.coordinates))} of p"
         gens = v.edge_generators
@@ -203,9 +203,9 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
                     f"form {k} reaches {value} at the model vertex {tuple(w)} of {at}, "
                     "so -K is not ample"
                 )
-        coords.append(tuple(map(Fraction, w)))
+        model.append((*w, 1))
     forms = [AffineForm(u=u, b=Fraction(-1)) for u in normals]
-    return FanoPolytope(_carry(p, forms, range(len(forms)), coords, lambda g: g))
+    return FanoPolytope(_carry(p, forms, range(len(forms)), model, lambda g: g))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ elimination code: curvature comes from sympy symbolic differentiation or
 from a metric jet built entry by entry, moments from scipy adaptive
 quadrature over a halfspace description, areas from the shoelace formula,
 vertices from an exhaustive search over basic solutions, linear algebra
-from Gauss-Jordan elimination over Fraction, the anticanonical model from
-a fresh vertex walk over its own forms.
+from Gauss-Jordan elimination over Fraction, triangulations and volumes
+from Fraction coordinates, the anticanonical model from a fresh vertex
+walk over its own forms.
 """
 
 import itertools
@@ -300,6 +301,54 @@ def _primitive(vector):
     for x in ints:
         g = gcd(g, abs(x))
     return tuple(x // g for x in ints)
+
+
+def _face_simplices(coords, incidences, nforms, vidx, dim):
+    """Pulling triangulation of one face, as tuples of vertex indices.
+
+    The face is the convex hull of the vertices listed in `vidx`; it is
+    coned from its lexicographically smallest vertex over its own
+    facets, recursively.
+    """
+    if len(vidx) == dim + 1:
+        return [tuple(vidx)]
+    apex = min(vidx, key=lambda i: coords[i])
+    simplices = []
+    seen = set()
+    for k in range(nforms):
+        if k in incidences[apex]:
+            continue
+        sub = [i for i in vidx if k in incidences[i]]
+        if len(sub) < dim:
+            continue
+        if fraction_affine_rank([coords[i] for i in sub]) != dim - 1:
+            continue
+        key = frozenset(sub)
+        if key in seen:
+            continue
+        seen.add(key)
+        for s in _face_simplices(coords, incidences, nforms, sorted(sub), dim - 1):
+            simplices.append(s + (apex,))
+    return simplices
+
+
+def reference_triangulation(p):
+    """The pulling triangulation on Fraction coordinates, as the package
+    computed it before it read integer vertex rows."""
+    coords = [v.coordinates for v in p.vertices]
+    incidences = [v.incident_facets for v in p.vertices]
+    index_simplices = _face_simplices(
+        coords, incidences, len(p.forms), sorted(range(len(coords)), key=lambda i: coords[i]), p.n
+    )
+    return tuple(tuple(coords[i] for i in s) for s in index_simplices)
+
+
+def _simplex_volume(simplex):
+    return abs(fraction_det([(1, *v) for v in simplex])) / factorial(len(simplex) - 1)
+
+
+def reference_volume(p):
+    return sum((_simplex_volume(s) for s in reference_triangulation(p)), Fraction(0))
 
 
 def feasible_basic_solutions(forms, n):

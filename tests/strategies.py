@@ -4,9 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from torickit import AffineForm, UnimodularMap
+from torickit import CATALOG_DEFAULTS, AffineForm, DelzantPolytope, ToricError, UnimodularMap, catalog
 
 
 @st.composite
@@ -36,3 +37,16 @@ def halfspace_systems(draw):
     normals += draw(st.lists(normal, min_size=m - len(normals), max_size=m - len(normals)))
     offset = st.builds(Fraction, st.integers(-3, 1), st.integers(1, 3))
     return [AffineForm(u, draw(offset)) for u in draw(st.permutations(normals))], n
+
+
+@st.composite
+def polytopes(draw):
+    """A catalog entry or a bounded, full-dimensional `halfspace_systems` draw."""
+    if draw(st.booleans()):
+        name, params = draw(st.sampled_from(CATALOG_DEFAULTS))
+        return catalog(name, *params)
+    forms, n = draw(halfspace_systems())
+    try:
+        return DelzantPolytope.from_forms(forms, n)
+    except ToricError:
+        assume(False)

@@ -1,5 +1,6 @@
 """Rational linear algebra against numpy and hand-worked cases."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torickit import AffineForm, OutOfFloatRange, Polynomial, UnimodularMap, exact
+from torickit import AffineForm, OutOfFloatRange, Polynomial, UnimodularMap, affine_span_rank, exact
 
 from oracles import (
     fraction_affine_rank,
@@ -168,6 +169,27 @@ def test_primitive():
     # rational input scales to the primitive integer direction
     assert exact.primitive((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
     assert exact.primitive((Fraction(0), Fraction(-5))) == (0, -1)
+
+
+# Each exact entry point, called on a matrix or vector with `x` in one entry.
+KERNEL_CALLS = {
+    "rank": lambda x: exact.rank([[x, 0], [0, 1]]),
+    "det": lambda x: exact.det([[x, 0], [0, 1]]),
+    "inverse": lambda x: exact.inverse([[x, 0], [0, 1]]),
+    "kernel_vector": lambda x: exact.kernel_vector([[x, 1]], 2),
+    "primitive": lambda x: exact.primitive((x, 1)),
+    "affine_span_rank": lambda x: affine_span_rank([(x, 0), (1, 0), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("call", KERNEL_CALLS.values(), ids=KERNEL_CALLS.keys())
+def test_kernel_refuses_inexact_entries(call):
+    for value in (0.5, np.float64(2.0), True, np.bool_(False)):
+        with pytest.raises(TypeError, match=f"not an exact rational: {re.escape(repr(value))}"):
+            call(value)
+    results = [call(value) for value in (2, np.int64(2), Fraction(2), Fraction(4, 2))]
+    assert all(r == results[0] for r in results)
+    assert call(Fraction(1, 2)) is not None
 
 
 # Entries are mostly small integers and zeros, so pivots often need a row

@@ -1,6 +1,7 @@
 """Vertex enumeration, Delzant checks, normalization, catalog, JSON."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from torickit import (
     Empty,
     LowerDimensional,
     NotDelzantVertex,
+    NotFano,
     ParseError,
     RedundantForm,
     ToricError,
@@ -27,14 +29,16 @@ from torickit import (
     catalog,
     check_delzant,
     enumerate_vertices,
+    exact,
     exact_volume,
+    fano_normalize,
     normalize_at_vertex,
     polytope_from_json,
     vertices_affinely_span,
 )
 
-from oracles import feasible_basic_solutions, reference_vertices
-from strategies import halfspace_systems, lattice_maps
+from oracles import fraction_affine_rank, feasible_basic_solutions, reference_vertices
+from strategies import halfspace_systems, lattice_maps, polytopes
 
 F = Fraction
 
@@ -135,6 +139,45 @@ class TestEnumeration:
             DelzantPolytope.from_forms(
                 forms_2d((1, 0, 0), (1, 0, 0), (0, 1, 0), (-1, 0, -1), (0, -1, -1)), 2
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(halfspace_systems())
+    # x + y <= 3 never touches the unit square
+    @example((forms_2d((1, 0, 0), (0, 1, 0), (-1, 0, -1), (0, -1, -1), (-1, -1, -3)), 2))
+    # x + y >= 0 touches it at the origin alone
+    @example((forms_2d((1, 0, 0), (0, 1, 0), (-1, 0, -1), (0, -1, -1), (1, 1, 0)), 2))
+    def test_a_form_is_refused_exactly_when_its_vertices_span_no_facet(self, system):
+        forms, n = system
+        assume(len(set(forms)) == len(forms))  # a repeated form is refused before the walk
+        try:
+            vertices = enumerate_vertices(forms, n)
+        except ToricError:
+            assume(False)
+        tight = [[v.coordinates for v in vertices if k in v.incident_facets] for k in range(len(forms))]
+        lower = [k for k, points in enumerate(tight) if not points or fraction_affine_rank(points) < n - 1]
+        if not lower:
+            assert DelzantPolytope.from_forms(forms, n).vertices == vertices
+            return
+        with pytest.raises(RedundantForm) as refused:
+            DelzantPolytope.from_forms(forms, n)
+        assert str(refused.value) == f"form {lower[0]} ({forms[lower[0]].u}) is not a facet"
+
+    @pytest.mark.parametrize(
+        "name, params, start",
+        [("cube", (2,), 1), ("cube", (3,), 1), ("cube", (4,), 1), ("blowup_cp2", (3,), 3)],
+    )
+    def test_one_elimination_per_edge(self, monkeypatch, name, params, start):
+        """The walk solves each edge once, from whichever end it reaches first.
+        `start` is the number of n-subsets of forms tried before the first
+        feasible basic solution."""
+        p = catalog(name, *params)
+        calls = []
+        eliminate = exact._eliminate
+        monkeypatch.setattr(exact, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+        enumerate_vertices(p.forms, p.n)
+        edges = sum(len(v.edge_generators) for v in p.vertices) // 2
+        # the line test, the start search, one per edge, the span rank
+        assert len(calls) == 1 + start + edges + 1
 
     def test_enumeration_commutes_with_unimodular_maps(self):
         rng = np.random.default_rng(3)
@@ -305,19 +348,6 @@ class TestUnimodularMap:
         assert m.apply_form(form).value(y) == form.value(x)
 
 
-@st.composite
-def polytopes(draw):
-    """A catalog entry or a bounded, full-dimensional `halfspace_systems` draw."""
-    if draw(st.booleans()):
-        name, params = draw(st.sampled_from(CATALOG_DEFAULTS))
-        return catalog(name, *params)
-    forms, n = draw(halfspace_systems())
-    try:
-        return DelzantPolytope.from_forms(forms, n)
-    except ToricError:
-        assume(False)
-
-
 def vertex_fields(p):
     return [(v.coordinates, v.incident_facets, v.edge_generators) for v in p.vertices]
 
@@ -347,6 +377,36 @@ class TestTransport:
         assert r.forms == want.forms
         assert vertex_fields(r) == vertex_fields(want)
         assert r.affine_span_rank == want.affine_span_rank
+
+
+def integer_rows(p):
+    """Each vertex as (X, D): D the lcm of its coordinates' denominators, X = D x."""
+    rows = []
+    for v in p.vertices:
+        d = math.lcm(*(c.denominator for c in v.coordinates))
+        rows.append((*(int(c * d) for c in v.coordinates), d))
+    return tuple(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytopes(), st.data())
+def test_builders_hand_over_integer_rows(p, data):
+    """Every builder hands its vertices' integer rows to the polytope; they
+    must be the rows of its Fraction coordinates, and its span rank theirs."""
+    q = data.draw(lattice_maps(p.n)).apply_polytope(p)
+    built = [p, q]
+    try:
+        built.append(normalize_at_vertex(q, data.draw(st.sampled_from(q.vertices)))[1])
+    except NotDelzantVertex:
+        pass
+    try:
+        built.append(fano_normalize(q).base)
+    except NotFano:
+        pass
+    for r in built:
+        assert "vertex_rows" in vars(r)  # handed over, not derived from the coordinates
+        assert r.vertex_rows == integer_rows(r)
+        assert r.affine_span_rank == fraction_affine_rank([v.coordinates for v in r.vertices])
 
 
 class TestCatalog:

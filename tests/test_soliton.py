@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import halfspace_systems, lattice_maps
+from strategies import halfspace_systems, lattice_maps, polytopes
 import torickit.potential
 import torickit.soliton
 from torickit import exact
@@ -125,6 +125,26 @@ class TestTriangulation:
         simplices = triangulate(p)
         assert len(simplices) == 1
         assert set(simplices[0]) == {(F(0), F(0)), (F(1), F(0)), (F(0), F(1))}
+
+
+def _with_images(p):
+    """p itself or its image under a lattice map with a rational shift, whose
+    vertex rows then have denominators D > 1."""
+    return st.just(p) | lattice_maps(p.n).map(lambda um: um.apply_polytope(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes().flatmap(_with_images))
+@example(catalog("cube", 3, F(5, 2)))
+@example(catalog("simplex", 2, F(3, 2)))
+# vertices listed against their lexicographic order, as a hand-built polytope may
+@example(DelzantPolytope(catalog("blowup_cp2", 2).forms, catalog("blowup_cp2", 2).vertices[::-1], 2))
+def test_integer_triangulation_matches_the_coordinate_one(p):
+    """triangulate and exact_volume read integer vertex rows; the pulling
+    triangulation on Fraction coordinates must give the same simplices, in
+    the same order, and the same volume."""
+    assert triangulate(p) == oracles.reference_triangulation(p)
+    assert exact_volume(p) == oracles.reference_volume(p)
 
 
 class TestQuadrature:
