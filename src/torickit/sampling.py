@@ -65,9 +65,8 @@ def interior_grid(p: DelzantPolytope, per_axis: int, margin: float | None = None
     if margin is None:
         margin = default_margin(p)
     lo, hi = bounding_box(p)
-    axes = [np.linspace(lo[i] + margin, hi[i] - margin, per_axis) for i in range(p.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    axes = np.linspace(lo + margin, hi - margin, per_axis)
+    pts = np.stack(np.meshgrid(*axes.T, indexing="ij"), -1).reshape(-1, p.n)
     keep = interior_distance(p, pts) >= margin
     pts = pts[keep]
     if not len(pts):

@@ -39,13 +39,15 @@ NEWTON_MAX_ITER = 100
 # triangulation (exact)
 
 def _simplices(p: DelzantPolytope):
-    """Pulling triangulation of p, as tuples of vertex indices.
+    """Pulling triangulation of p as tuples of vertex indices, kept on p.
 
     Each face, the vertices listed in `vidx`, is coned from its
     lexicographically smallest vertex over its own facets, recursively.  A
     facet of a face of dimension dim is a set of its vertices whose integer
     rows (X, D) have rank dim, as the rows (1, X / D) do.
     """
+    if "_simplices" in vars(p):
+        return vars(p)["_simplices"]
     rows, incidences = p.vertex_rows, [v.incident_facets for v in p.vertices]
     lex = sorted(range(len(rows)), key=lambda i: p.vertices[i].coordinates)
     place = {i: r for r, i in enumerate(lex)}
@@ -70,7 +72,7 @@ def _simplices(p: DelzantPolytope):
                 simplices.append(s + (apex,))
         return simplices
 
-    return face(lex, p.n)
+    return vars(p).setdefault("_simplices", tuple(face(lex, p.n)))
 
 
 def triangulate(p: DelzantPolytope):
@@ -94,39 +96,47 @@ def exact_volume(p: DelzantPolytope) -> Fraction:
 # ---------------------------------------------------------------------------
 # exponential moments in closed form
 
-def _exp_divided_differences(nodes: np.ndarray) -> np.ndarray:
-    """exp[d_0, ..., d_m] for every row d of `nodes`; nodes may repeat.
+def _exp_divided_differences(t: np.ndarray) -> np.ndarray:
+    """exp[t_k, t_0, ..., t_n, t_l] for every row t of `t` and all k, l.
 
-    It is the top-right entry of exp(Z) for Z bidiagonal with d on the
-    diagonal and ones above it (McCurdy, Ng and Parlett 1984).  Each row
-    is shifted by its smallest node, so every entry of Z is nonnegative
-    and neither the Taylor sum nor the squarings cancel anything.
+    Z is upper triangular with t on its diagonal three times, as sources k,
+    a chain c_0..c_n and sinks l, and edges of weight 1 from each source to
+    c_0, along the chain and from c_n to each sink.  Entry (i, j) of exp(Z)
+    sums exp's divided differences over the paths i -> j (Higham, Functions
+    of Matrices, 4.6); k and l are joined by the one path k, c_0..c_n, l.
+    Rows are shifted by their smallest node, so no entry of Z is negative
+    and nothing cancels.  Rows of equal nodes only (a = 0) give e^t / (n+2)!.
     """
-    rows, m = nodes.shape
-    low = nodes.min(axis=1)
-    spread = float(np.max(nodes.max(axis=1) - low))
-    # scale until no diagonal entry exceeds 1; the Taylor remainder of
-    # the top-right entry is then below 1/18!, about one rounding unit
+    rows, m = t.shape
+    low = t.min(axis=1)
+    spread = float(np.max(t.max(axis=1) - low))
+    if spread == 0.0:
+        return np.repeat(np.exp(low) / factorial(m + 1), m * m).reshape(rows, m, m)
+    # scale until no diagonal entry exceeds 1; the Taylor remainder of a
+    # path of m + 2 nodes is then below 1/18!, about one rounding unit
     squarings = ceil(log2(spread)) if 1.0 < spread < inf else 0
     h = 2.0**-squarings
-    z = np.zeros((rows, m * m))
-    z[:, :: m + 1] = (nodes - low[:, None]) * h
-    z[:, 1 :: m + 1] = h
-    z = z.reshape(rows, m, m)
-    # Taylor sum to degree >= m + 16, Paterson-Stockmeyer: blocks in z^0..z^4, Horner in z^5
-    powers = [np.broadcast_to(np.eye(m), z.shape), z]
-    for _ in range(4):
-        powers.append(powers[-1] @ z)
-    count = 5 * -(-(m + 17) // 5)
+    size = 3 * m
+    z = np.zeros((rows, size * size))
+    z[:, :: size + 1] = np.tile((t - low[:, None]) * h, 3)
+    z = z.reshape(rows, size, size)
+    chain = np.arange(m, 2 * m - 1)
+    z[:, :m, m] = z[:, chain, chain + 1] = z[:, 2 * m - 1, 2 * m :] = h
+    # Taylor sum to degree >= m + 18, Paterson-Stockmeyer: blocks in z^0..z^4, Horner in z^5
+    powers = np.empty((6, rows, size, size))
+    powers[0], powers[1] = np.eye(size), z
+    for i in range(2, 6):
+        np.matmul(powers[i - 1], z, out=powers[i])
+    count = 5 * -(-(m + 19) // 5)
     inverse_factorials = np.cumprod(1.0 / np.maximum(np.arange(count), 1)).reshape(-1, 5)
-    blocks = np.tensordot(inverse_factorials, np.stack(powers[:5]), 1)
+    blocks = (inverse_factorials @ powers[:5].reshape(5, -1)).reshape(-1, rows, size, size)
     e = blocks[-1]
     for block in blocks[-2::-1]:
         e = block + powers[5] @ e
     e *= np.exp(low * h)[:, None, None]
     for _ in range(squarings):
         e = e @ e
-    return e[:, 0, -1]
+    return e[:, :m, 2 * m :]
 
 
 class FanoPolytope:
@@ -148,13 +158,10 @@ class FanoPolytope:
 
     @cached_property
     def _cells(self):
-        """Float triangulation for _moments: per simplex and vertex pair k <= l,
-        h_k = (1, v_k), h_l and nodes (v_k, v_0..v_n, v_l); n! vol per simplex."""
-        simplices = triangulate(self.base)
-        h = exact.floats([[(1, *v) for v in s] for s in simplices])
-        k, l = np.triu_indices(self.n + 1)
-        nodes = np.column_stack([k, np.tile(np.arange(self.n + 1), (len(k), 1)), l])
-        return h[:, k], h[:, l], h[:, nodes, 1:], np.abs(np.linalg.det(h))
+        """Float triangulation for _moments: per simplex, the rows h_k = (1, v_k)
+        and the weights n! vol (1 + [k = l])."""
+        h = np.insert(self.base.vertex_floats[np.array(_simplices(self.base))], 0, 1.0, axis=2)
+        return h, np.abs(np.linalg.det(h))[:, None, None] * (1 + np.eye(self.n + 1))
 
     def to_json(self) -> dict:
         return self.base.to_json()
@@ -184,23 +191,26 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
     n, normals = p.n, [f.u for f in p.forms]
     basis = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
     model = []  # the vertex rows (w_v, 1)
+
+    def at(v):  # made only for a message, so only on failure
+        return f"vertex {tuple(map(str, v.coordinates))} of p"
+
     for v in p.vertices:
-        at = f"vertex {tuple(map(str, v.coordinates))} of p"
         gens = v.edge_generators
         if len(v.incident_facets) != n or len(gens) != n:
             raise NotFano(
-                f"{at} has {len(v.incident_facets)} facets and {len(gens)} edges, "
+                f"{at(v)} has {len(v.incident_facets)} facets and {len(gens)} edges, "
                 f"not {n}: p is not simple there"
             )
         rows = [tuple(sum(map(mul, normals[k], g)) for g in gens) for k in v.incident_facets]
         if sorted(rows) != basis:
-            raise NotFano(f"at {at} the tight normals and the edge generators are not dual bases")
+            raise NotFano(f"at {at(v)} the tight normals and the edge generators are not dual bases")
         w = [-sum(c) for c in zip(*gens)]
         for k, u in enumerate(normals):
             value = sum(map(mul, u, w))
             if k not in v.incident_facets and value <= -1:
                 raise NotFano(
-                    f"form {k} reaches {value} at the model vertex {tuple(w)} of {at}, "
+                    f"form {k} reaches {value} at the model vertex {tuple(w)} of {at(v)}, "
                     "so -K is not ample"
                 )
         model.append((*w, 1))
@@ -217,21 +227,20 @@ def _moments(fp: FanoPolytope, a: np.ndarray):
     On a simplex S with vertices v_k, barycentric coordinates beta_k and
     t_k = <a, v_k>, the Hermite-Genocchi formula gives
 
-        integral_S beta_k beta_l e^{<a,x>} = n! vol(S) (1 + [k = l]) exp[t_0..t_n, t_k, t_l]
+        integral_S beta_k beta_l e^{<a,x>} = n! vol(S) (1 + [k = l]) exp[t_k, t_0..t_n, t_l]
 
     (Baldoni, Berline, De Loera, Koppe and Vergne, arXiv:0809.2083).  As
-    sum_k beta_k (1, v_k) = (1, x), these times h_k h_l^T sum to all three
-    moments.  Raises QuadratureNotConverged on overflow.  The moments at the
+    sum_k beta_k (1, v_k) = (1, x), H^T (w o exp[...]) H, H the rows (1, v_k),
+    summed over the simplices holds all three moments.  Raises QuadratureNotConverged on overflow.  The moments at the
     last a are kept on fp, so asking again at the same a costs nothing.
     """
     key = a.tobytes()
     if fp._last is not None and fp._last[0] == key:
         return fp._last[1]
-    hk, hl, nodes, weights = fp._cells
+    h, weights = fp._cells
     with np.errstate(over="ignore", invalid="ignore"):
-        dd = _exp_divided_differences((nodes @ a).reshape(-1, fp.n + 3))
-        half = np.einsum("sp,spi,spj->ij", weights[:, None] * dd.reshape(len(weights), -1), hk, hl)
-        full = half + half.T
+        full = np.einsum("ski,skl,slj->ij", h, weights * _exp_divided_differences(h[:, :, 1:] @ a), h)
+        full = (full + full.T) / 2  # symmetric to the last bit, as the Hessian is
     if not np.all(np.isfinite(full)):
         raise QuadratureNotConverged(f"moments of e^<a,x> overflow at a = {a.tolist()}")
     moments = float(full[0, 0]), full[1:, 0], full[1:, 1:]

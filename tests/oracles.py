@@ -3,7 +3,9 @@
 Nothing here touches the package's own derivative, quadrature or
 elimination code: curvature comes from sympy symbolic differentiation or
 from a metric jet built entry by entry, moments from scipy adaptive
-quadrature over a halfspace description, areas from the shoelace formula,
+quadrature over a halfspace description, divided differences of exp from
+one bidiagonal exponential per vertex pair or from a 50-digit mpmath power
+series, areas from the shoelace formula,
 vertices from an exhaustive search over basic solutions, linear algebra
 from Gauss-Jordan elimination over Fraction, triangulations and volumes
 from Fraction coordinates, the anticanonical model from a fresh vertex
@@ -12,7 +14,7 @@ walk over its own forms.
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import ceil, factorial, gcd, inf, log2, prod
 
 import numpy as np
 
@@ -200,6 +202,75 @@ def pentagon_moment(a, eps=1e-12):
         -1.0, 2.0, ylo, yhi, epsabs=eps, epsrel=eps,
     )
     return np.array([mx, my])
+
+
+def bidiagonal_exp_divided_differences(nodes):
+    """exp[d_0, ..., d_m] for every row d of `nodes`, the package's kernel
+    before the triangular one: the top-right entry of exp(Z) for Z
+    bidiagonal with d on the diagonal and ones above it (McCurdy, Ng and
+    Parlett 1984), rows shifted by their smallest node, scaled and squared,
+    Taylor sum to degree >= m + 16 by Paterson-Stockmeyer."""
+    rows, m = nodes.shape
+    low = nodes.min(axis=1)
+    spread = float(np.max(nodes.max(axis=1) - low))
+    squarings = ceil(log2(spread)) if 1.0 < spread < inf else 0
+    h = 2.0**-squarings
+    z = np.zeros((rows, m * m))
+    z[:, :: m + 1] = (nodes - low[:, None]) * h
+    z[:, 1 :: m + 1] = h
+    z = z.reshape(rows, m, m)
+    powers = [np.broadcast_to(np.eye(m), z.shape), z]
+    for _ in range(4):
+        powers.append(powers[-1] @ z)
+    count = 5 * -(-(m + 17) // 5)
+    inverse_factorials = np.cumprod(1.0 / np.maximum(np.arange(count), 1)).reshape(-1, 5)
+    blocks = np.tensordot(inverse_factorials, np.stack(powers[:5]), 1)
+    e = blocks[-1]
+    for block in blocks[-2::-1]:
+        e = block + powers[5] @ e
+    e *= np.exp(low * h)[:, None, None]
+    for _ in range(squarings):
+        e = e @ e
+    return e[:, 0, -1]
+
+
+def pairwise_exp_divided_differences(t):
+    """exp[t_k, t_0, ..., t_n, t_l] for every row t and every k, l, one
+    bidiagonal exponential per pair, as (rows, n+1, n+1)."""
+    rows, m = t.shape
+    nodes = [[(row[k], *row, row[l]) for k in range(m) for l in range(m)] for row in t]
+    return bidiagonal_exp_divided_differences(np.array(nodes).reshape(-1, m + 2)).reshape(rows, m, m)
+
+
+def mp_exp_divided_differences(t, dps=50):
+    """exp[t_k, t_0, ..., t_n, t_l] for every row t and every k, l, from the
+    power series exp[x_0..x_p] = e^c sum_j h_j(x - c) / (p + j)! in mpmath at
+    `dps` digits, c the smallest node and h_j the complete homogeneous
+    symmetric polynomial; every term is nonnegative, so nothing cancels."""
+    import mpmath
+
+    rows, m = t.shape
+    out = np.empty((rows, m, m))
+    with mpmath.workdps(dps):
+        for r, row in enumerate(t):
+            low = min(row)
+            y = [mpmath.mpf(float(v)) - mpmath.mpf(float(low)) for v in row]
+            # y^j / j! < (e max(y) / j)^j is far below 10^-dps past this degree
+            degree = 3 * int(ceil(max(y))) + 120
+            chain = [mpmath.mpf(1)] + [mpmath.mpf(0)] * degree
+            for v in y:  # h_j of the chain: times the series 1 / (1 - v z)
+                for j in range(1, degree + 1):
+                    chain[j] += v * chain[j - 1]
+            inverse = [1 / mpmath.factorial(m + 1 + j) for j in range(degree + 1)]
+            for k in range(m):
+                for l in range(m):
+                    h = list(chain)
+                    for v in (y[k], y[l]):
+                        for j in range(1, degree + 1):
+                            h[j] += v * h[j - 1]
+                    total = mpmath.fsum(c * f for c, f in zip(h, inverse))
+                    out[r, k, l] = float(total * mpmath.exp(mpmath.mpf(float(low))))
+    return out
 
 
 def central_second_difference(f, x, i, j, h):

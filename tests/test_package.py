@@ -1,8 +1,36 @@
 """The package's public surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import torickit
 
 
 def test_every_export_resolves():
     missing = [name for name in torickit.__all__ if not hasattr(torickit, name)]
     assert missing == []
+
+
+NUMPY_ONLY = """
+import sys
+for name in ("scipy", "sympy", "mpmath"):
+    sys.modules[name] = None  # any import of them raises ImportError
+import torickit as tk
+p = tk.catalog("blowup_cp2", 2)
+fp = tk.fano_normalize(p)
+a = tk.soliton_vector(fp).a
+tk.polytope_integral(fp, a, "xx")
+verdict = tk.verify_einstein(tk.SymplecticPotential.guillemin(fp.base), a, grid=6)
+print(verdict.conclusion.value)
+"""
+
+
+def test_runs_on_numpy_alone():
+    """numpy is the only runtime dependency: the pipeline runs with scipy,
+    sympy and mpmath unimportable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "HypothesisFails\n"  # the Guillemin metric of a non-Einstein soliton

@@ -142,9 +142,44 @@ def _with_images(p):
 def test_integer_triangulation_matches_the_coordinate_one(p):
     """triangulate and exact_volume read integer vertex rows; the pulling
     triangulation on Fraction coordinates must give the same simplices, in
-    the same order, and the same volume."""
+    the same order, and the same volume, from one triangulation kept on p."""
     assert triangulate(p) == oracles.reference_triangulation(p)
     assert exact_volume(p) == oracles.reference_volume(p)
+    assert torickit.soliton._simplices(p) is torickit.soliton._simplices(p)
+
+
+@st.composite
+def node_rows(draw):
+    """Rows of n+1 nodes, n in 1..4: a centre plus a spread times levels in
+    [0, 1].  Levels come partly from {0, 1/2, 1}, so nodes repeat and whole
+    rows can be equal."""
+    n, rows = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    spread = draw(st.sampled_from([0.0, 1e-12, 1.0, 60.0]) | st.floats(0.0, 60.0))
+    centre = draw(st.floats(-20.0, 20.0))
+    level = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    levels = draw(st.lists(st.lists(level, min_size=n + 1, max_size=n + 1), min_size=rows, max_size=rows))
+    return centre + spread * np.array(levels)
+
+
+class TestDividedDifferences:
+    """exp[t_k, t_0..t_n, t_l] for every vertex pair, from one triangular
+    exponential per row of nodes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(node_rows())
+    @example(np.zeros((2, 3)))
+    @example(np.array([[0.0, 1e-12, 0.0], [5.0, 5.0, 5.0]]))
+    @example(np.array([[-20.0, 40.0, 40.0, 10.0, -20.0]]))
+    def test_matches_the_pairwise_kernel_and_mpmath(self, t):
+        got = torickit.soliton._exp_divided_differences(t)
+        assert got.shape == (len(t), t.shape[1], t.shape[1])
+        np.testing.assert_allclose(got, oracles.pairwise_exp_divided_differences(t), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got, oracles.mp_exp_divided_differences(t), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_nodes_give_the_reciprocal_factorial_exactly(self, n):
+        got = torickit.soliton._exp_divided_differences(np.zeros((3, n + 1)))
+        assert np.all(got == 1 / math.factorial(n + 2))
 
 
 class TestQuadrature:
