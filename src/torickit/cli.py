@@ -249,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="replay the Einstein verdict pipeline")
     _add_common(sub)
     sub.add_argument("-a", type=float, nargs="+", default=None, help="soliton vector components")
+    # a number such as -1e-3, which soliton prints, is no option (argparse knows only -1 and -.5)
+    sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     sub.add_argument("--from-soliton", action="store_true", help="compute the vector from the anticanonical model first")
     sub.set_defaults(func=cmd_verify)
 

@@ -83,4 +83,4 @@ class ParseError(ToricError):
 
 
 class OutOfFloatRange(ToricError, OverflowError):
-    """An exact value lies beyond the range of a double."""
+    """A value, exact or computed, lies beyond the range of a double."""

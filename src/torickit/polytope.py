@@ -88,8 +88,8 @@ def enumerate_vertices(forms: Sequence[AffineForm], n: int) -> tuple[VertexData,
     normals fix a primitive direction y; +-y is an edge when no tight form
     decreases along it, and the ratio test finds its other end.  Raises
     Unbounded for a line or an edge without end, Empty when no point
-    satisfies every form, LowerDimensional when the vertices do not
-    affinely span.
+    satisfies every form, LowerDimensional when some form is tight at every
+    vertex, so that they lie in its hyperplane.
     """
     return _walk(forms, n)[0]
 
@@ -104,9 +104,19 @@ def _point(row) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, row[-1]) for c in row[:-1])
 
 
+def _cuts(face, incidences, m):
+    """For each of m forms k, the facet of `face` that k cuts out, or None.
+    `face` lists vertices and `incidences[i]` the forms tight at vertex i.  A
+    cut, the vertices of `face` tight on k, is a facet when it is neither empty
+    nor all of `face` and lies strictly in no other cut (Ziegler, 2.1)."""
+    cuts = [frozenset(i for i in face if k in incidences[i]) for k in range(m)]
+    proper = {c for c in cuts if 0 < len(c) < len(face)}
+    return [c if c in proper and not any(c < d for d in proper) else None for c in cuts]
+
+
 def _walk(forms, n):
     """`enumerate_vertices`, with the vertices also as the integer rows (X, D)
-    of their points X / D, in lowest terms with D > 0, and the span rank."""
+    of their points X / D, in lowest terms with D > 0."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     for f in forms:
@@ -176,8 +186,9 @@ def _walk(forms, n):
                 slacks[w] = [(den * a + num * s) // g for a, s in zip(slack, slopes)]
                 todo.append(w)
 
-    span = exact.rank(list(slacks)) - 1  # the rows (X, D) span as (1, X / D) do
-    if span < n:
+    # a form tight at every vertex holds the polytope in its hyperplane (Schrijver 8.2)
+    if any(not any(column) for column in zip(*slacks.values())):
+        span = exact.rank(list(slacks)) - 1  # the rows (X, D) span as (1, X / D) do
         raise LowerDimensional(f"vertices span affine rank {span} < {n}")
     coords = {v: _point(v) for v in slacks}
     order = sorted(slacks, key=coords.get)
@@ -189,7 +200,7 @@ def _walk(forms, n):
         )
         for v in order
     )
-    return vertices, tuple(order), span
+    return vertices, tuple(order)
 
 
 class DelzantPolytope:
@@ -211,13 +222,14 @@ class DelzantPolytope:
         for k, f in enumerate(forms):
             if first.setdefault(f, k) != k:
                 raise RedundantForm(f"form {k} ({f.u}) repeats form {first[f]}")
-        vertices, rows, span = _walk(forms, n)
-        # Every form must cut out a genuine facet: its vertex rows have rank n.
-        for k in range(len(forms)):
-            if exact.rank([r for r, v in zip(rows, vertices) if k in v.incident_facets]) != n:
-                raise RedundantForm(f"form {k} ({forms[k].u}) is not a facet")
+        vertices, rows = _walk(forms, n)
+        # every form must cut out a facet; the walk found the vertices to span
+        cuts = _cuts(range(len(vertices)), [v.incident_facets for v in vertices], len(forms))
+        if None in cuts:
+            k = cuts.index(None)
+            raise RedundantForm(f"form {k} ({forms[k].u}) is not a facet")
         p = cls(forms, vertices, n)
-        p.__dict__.update(vertex_rows=rows, affine_span_rank=span)  # the walk's, for the cached properties
+        p.__dict__.update(vertex_rows=rows, affine_span_rank=n)  # for the cached properties
         return p
 
     @property
@@ -443,7 +455,7 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
     trans = UnimodularMap(matrix=edges.matrix_inverse, translation=vertex.coordinates)
     mapped = [trans.apply_form(f) for f in p.forms]
 
-    basis = [AffineForm(tuple(int(i == j) for j in range(p.n)), 0) for i in range(p.n)]
+    basis = _orthant(p.n)
     order = [k for e in basis for k, f in enumerate(mapped) if f == e]
     if [mapped[k] for k in order] != basis:
         raise NotDelzantVertex(
@@ -489,24 +501,15 @@ def _carry(p: DelzantPolytope, mapped, order, rows, generator) -> DelzantPolytop
 # ---------------------------------------------------------------------------
 # catalog
 
+def _orthant(n: int) -> list[AffineForm]:
+    """The coordinate half spaces x_i >= 0."""
+    return [AffineForm(u=tuple(int(i == j) for j in range(n)), b=Fraction(0)) for i in range(n)]
+
 def _simplex(n: int, scale: Fraction) -> list[AffineForm]:
-    forms = [
-        AffineForm(u=tuple(int(i == j) for j in range(n)), b=Fraction(0))
-        for i in range(n)
-    ]
-    forms.append(AffineForm(u=(-1,) * n, b=-scale))
-    return forms
+    return _orthant(n) + [AffineForm(u=(-1,) * n, b=-scale)]
 
 def _cube(n: int, scale: Fraction) -> list[AffineForm]:
-    forms = [
-        AffineForm(u=tuple(int(i == j) for j in range(n)), b=Fraction(0))
-        for i in range(n)
-    ]
-    forms += [
-        AffineForm(u=tuple(-int(i == j) for j in range(n)), b=-scale)
-        for i in range(n)
-    ]
-    return forms
+    return _orthant(n) + [AffineForm(u=tuple(-int(i == j) for j in range(n)), b=-scale) for i in range(n)]
 
 def _hirzebruch(a: int) -> list[AffineForm]:
     return [

@@ -47,7 +47,7 @@ def inradius(p: DelzantPolytope) -> float:
     mats, rhs = a[subsets], b[subsets]
     keep = np.abs(np.linalg.det(mats)) > 1e-9
     sols = np.linalg.solve(mats[keep], rhs[keep][..., None])[..., 0]
-    feasible = np.all(sols @ a.T - b >= -1e-9 * (1.0 + np.abs(b).max()), axis=1)
+    feasible = np.all(sols @ a.T - b >= -1e-9 * np.abs(b).max(), axis=1)  # relative: p may be tiny
     return float(sols[feasible, -1].max())
 
 

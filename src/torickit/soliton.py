@@ -20,15 +20,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, factorial, inf, lcm, log2, prod
+from math import ceil, factorial, hypot, inf, isfinite, lcm, log2, prod
 from operator import mul
 
 import numpy as np
 
 from . import exact, sampling
 from .curvature import AffineFit, affine_fit
-from .errors import MaxIterations, NotFano, QuadratureNotConverged
-from .polytope import AffineForm, DelzantPolytope, _carry
+from .errors import MaxIterations, NotFano, OutOfFloatRange, QuadratureNotConverged
+from .polytope import AffineForm, DelzantPolytope, _carry, _cuts
 from .potential import SymplecticPotential, metric_jets
 
 NEWTON_TOL = 1e-10
@@ -42,35 +42,22 @@ def _simplices(p: DelzantPolytope):
     """Pulling triangulation of p as tuples of vertex indices, kept on p.
 
     Each face, the vertices listed in `vidx`, is coned from its
-    lexicographically smallest vertex over its own facets, recursively.  A
-    facet of a face of dimension dim is a set of its vertices whose integer
-    rows (X, D) have rank dim, as the rows (1, X / D) do.
+    lexicographically smallest vertex over the distinct facets that miss
+    it, in form order, recursively.  The facets of a face are those its
+    forms cut out, decided from the incidences alone (`_cuts`).
     """
     if "_simplices" in vars(p):
         return vars(p)["_simplices"]
-    rows, incidences = p.vertex_rows, [v.incident_facets for v in p.vertices]
-    lex = sorted(range(len(rows)), key=lambda i: p.vertices[i].coordinates)
+    incidences = [v.incident_facets for v in p.vertices]
+    lex = sorted(range(len(incidences)), key=lambda i: p.vertices[i].coordinates)
     place = {i: r for r, i in enumerate(lex)}
 
     def face(vidx, dim):
         if len(vidx) == dim + 1:
             return [tuple(vidx)]
         apex = min(vidx, key=place.__getitem__)
-        simplices = []
-        seen = set()
-        for k in range(len(p.forms)):
-            if k in incidences[apex]:
-                continue
-            sub = [i for i in vidx if k in incidences[i]]
-            if len(sub) < dim or exact.rank([rows[i] for i in sub]) != dim:
-                continue
-            key = frozenset(sub)
-            if key in seen:
-                continue
-            seen.add(key)
-            for s in face(sorted(sub), dim - 1):
-                simplices.append(s + (apex,))
-        return simplices
+        facets = dict.fromkeys(c for c in _cuts(vidx, incidences, len(p.forms)) if c and apex not in c)
+        return [s + (apex,) for sub in facets for s in face(sorted(sub), dim - 1)]
 
     return vars(p).setdefault("_simplices", tuple(face(lex, p.n)))
 
@@ -349,10 +336,13 @@ def einstein_verdict_from_samples(
     fitted affine function must vanish at every vertex.  (3) the
     vertices must affinely span.  (4) q itself must be as small as the
     zero affine function predicts.  Steps 2-4 cannot fail for genuine
-    metric data, so their failure yields Inconclusive.
+    metric data, so their failure yields Inconclusive.  OutOfFloatRange when
+    q, the fit's vertex values or the zero bound is not finite.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise OutOfFloatRange("q is not finite at every sample")
     spread = float(vals.max() - vals.min()) if len(vals) else 0.0
     scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
     if affinity_tol is None:
@@ -364,16 +354,17 @@ def einstein_verdict_from_samples(
     fit = affine_fit(pts, vals)
     affine_ok = fit.max_residual <= affinity_tol
 
-    vertex_values = polytope.vertex_floats @ fit.gradient + fit.constant
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
+        vertex_values = polytope.vertex_floats @ fit.gradient + fit.constant
     vertex_ok = bool(np.max(np.abs(vertex_values)) <= vertex_tol)
 
     rank = polytope.affine_span_rank
     rank_ok = rank == polytope.n
 
-    coef_norm = float(np.hypot(fit.constant, np.linalg.norm(fit.gradient)))
-    zero_bound = polytope.n * vertex_tol * (1.0 + coef_norm)
-    max_q = float(np.max(np.abs(vals)))
-    zero_ok = max_q <= zero_bound
+    zero_bound = polytope.n * vertex_tol * (1.0 + hypot(fit.constant, *fit.gradient))
+    if not (np.all(np.isfinite(vertex_values)) and isfinite(zero_bound)):
+        raise OutOfFloatRange("the fit of q has vertex values or a zero bound that are not finite")
+    zero_ok = scale <= zero_bound
 
     if not affine_ok:
         conclusion = Conclusion.HYPOTHESIS_FAILS
@@ -399,7 +390,7 @@ def einstein_verdict_from_samples(
             "passed": bool(rank_ok),
         },
         "zero_function": {
-            "max_abs_q": max_q,
+            "max_abs_q": scale,
             "bound": zero_bound,
             "passed": bool(zero_ok),
         },

@@ -10,6 +10,20 @@ from hypothesis import strategies as st
 from torickit import CATALOG_DEFAULTS, AffineForm, DelzantPolytope, ToricError, UnimodularMap, catalog
 
 
+# A square pyramid, whose apex lies on four facets, and the octahedron
+# |x| + |y| + |z| <= 1 (volume 4/3), each of whose six vertices lies on four
+# of its eight facets.  With -z >= -1, tight at the apex alone, the pyramid
+# has a form that cuts out no facet.
+SQUARE_PYRAMID = [AffineForm(u, Fraction(b)) for u, b in [((1, 0, -1), 0), ((0, 1, -1), 0), ((-1, 0, -1), -2),
+                                                          ((0, -1, -1), -2), ((0, 0, 1), 0)]]
+OCTAHEDRON = [AffineForm((a, b, c), Fraction(-1)) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+CAPPED_PYRAMID = SQUARE_PYRAMID + [AffineForm((0, 0, -1), Fraction(-1))]
+# The octahedron times [0, 1]: the edge {v} x [0, 1] lies on four facets,
+# two of which cut that same edge out of the square e x [0, 1].
+OCTAHEDRAL_PRISM = [AffineForm((*f.u, 0), f.b) for f in OCTAHEDRON] + [
+    AffineForm((0, 0, 0, 1), Fraction(0)), AffineForm((0, 0, 0, -1), Fraction(-1))]
+
+
 @st.composite
 def lattice_maps(draw, n):
     """x -> A (x - t): A a product of row shears, rows permuted and signed;

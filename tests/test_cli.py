@@ -375,12 +375,30 @@ class TestVerify:
         assert rc == 2
         assert "required" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    # 1e80 makes the zero bound overflow, 1e160 q itself
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e80", "1e160"])
     def test_non_finite_vector(self, capsys, value):
         rc, out, err = run(capsys, "verify", "--catalog", "simplex(2)", "-a", value, "0")
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("name", ["hirzebruch(1)", "blowup_cp2(2)"])
+    def test_soliton_output_passes_back_to_verify(self, capsys, name):
+        # its second component prints as -6.5e-18 or -9.9e-17: argparse once
+        # took such a number for an option
+        rc, out, _ = run(capsys, "soliton", "--catalog", name)
+        assert rc == 0
+        a = json.loads(out)["soliton"]["a"]
+        replayed = run(capsys, "verify", "--catalog", name, "-a", *map(repr, a))
+        assert replayed[0] in (0, 3, 4)
+        assert replayed == run(capsys, "verify", "--catalog", name, "--from-soliton")
+
+    def test_negative_components_in_exponent_form(self, capsys):
+        rc, out, err = run(capsys, "verify", "--catalog", "simplex(2)", "-a", "-1e-3", "0")
+        assert (rc, err) == (3, "")
+        assert json.loads(out)["a"] == [-0.001, 0.0]
+        assert (rc, out, err) == run(capsys, "verify", "--catalog", "simplex(2)", "-a", "-0.001", "0")
 
     def test_vector_length_is_checked(self, capsys):
         rc, _, err = run(capsys, "verify", "--catalog", "cube(2)", "-a", "1")
@@ -620,19 +638,33 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+# -a components: 1e80 overflows the zero bound and 1e160 q itself
+VECTORS = st.lists(st.sampled_from(["0", "-2.5", "1e80", "1e160", "-1e-3"]), min_size=1, max_size=3)
+
+
 @settings(max_examples=60, deadline=None)
-@given(doc=documents())
-@example(doc=simplex_with_h(BAD_H["monomials_not_a_list"]))
-@example(doc=simplex_with_h(BAD_H["negative_exponent"]))
-@example(doc=simplex_with_h(BAD_H["float_exponent"]))
-@example(doc=simplex_with_h(BAD_H["bool_exponent"]))
-@example(doc=simplex_with_h(BAD_H["bool_coefficient"]))
-@example(doc=HUGE_B)
-@example(doc=HUGE_H)
-def test_fuzzed_documents_keep_the_exit_code_contract(fuzz_path, doc):
+@given(doc=documents(), a=VECTORS)
+@example(doc=simplex_with_h(BAD_H["monomials_not_a_list"]), a=["0"])
+@example(doc=simplex_with_h(BAD_H["negative_exponent"]), a=["-1e-3", "0"])
+@example(doc=simplex_with_h(BAD_H["float_exponent"]), a=["1e80", "0"])
+@example(doc=simplex_with_h(BAD_H["bool_exponent"]), a=["1e160", "-2.5"])
+@example(doc=simplex_with_h(BAD_H["bool_coefficient"]), a=["0", "0", "0"])
+@example(doc=HUGE_B, a=["-2.5", "1e80"])
+@example(doc=HUGE_H, a=["-1e-3", "1e160"])
+@example(doc=catalog("hirzebruch", 1).to_json(), a=["1e80", "-1e-3"])
+def test_fuzzed_documents_keep_the_exit_code_contract(fuzz_path, doc, a):
+    """Every command ends in an exit code from 0 to 4, and what it prints is
+    strict JSON: no NaN or Infinity."""
     fuzz_path.write_text(json.dumps(doc))
     for command in (["delzant"], ["curvature", "--grid", "3"], ["soliton"],
-                    ["verify", "--grid", "3", "--from-soliton"]):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    ["verify", "--grid", "3", "--from-soliton"], ["verify", "--grid", "3", "-a", *a]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             rc = main([*command, "--input", str(fuzz_path)])
         assert rc in range(5)
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_not_json)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import torickit.soliton
 from torickit import (
     CATALOG_DEFAULTS,
     AffineForm,
@@ -38,7 +39,7 @@ from torickit import (
 )
 
 from oracles import fraction_affine_rank, feasible_basic_solutions, reference_vertices
-from strategies import halfspace_systems, lattice_maps, polytopes
+from strategies import CAPPED_PYRAMID, OCTAHEDRON, SQUARE_PYRAMID, halfspace_systems, lattice_maps, polytopes
 
 F = Fraction
 
@@ -99,9 +100,7 @@ class TestEnumeration:
 
     @settings(max_examples=300, deadline=None)
     @given(halfspace_systems())
-    # a square pyramid, whose apex lies on four facets
-    @example(([AffineForm(u, F(b)) for u, b in [((1, 0, -1), 0), ((0, 1, -1), 0), ((-1, 0, -1), -2),
-                                                 ((0, -1, -1), -2), ((0, 0, 1), 0)]], 3))
+    @example((SQUARE_PYRAMID, 3))
     # the unit square with x + y >= 0 also tight at the origin
     @example((forms_2d((1, 0, 0), (0, 1, 0), (-1, 0, -1), (0, -1, -1), (1, 1, 0)), 2))
     def test_walk_matches_exhaustive_search(self, system):
@@ -120,7 +119,8 @@ class TestEnumeration:
             assert got == want
 
     def test_lower_dimensional(self):
-        with pytest.raises(LowerDimensional):
+        # x = 0 is tight at both ends of the segment
+        with pytest.raises(LowerDimensional, match=r"^vertices span affine rank 1 < 2$"):
             DelzantPolytope.from_forms(
                 forms_2d((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, -1)), 2
             )
@@ -146,6 +146,10 @@ class TestEnumeration:
     @example((forms_2d((1, 0, 0), (0, 1, 0), (-1, 0, -1), (0, -1, -1), (-1, -1, -3)), 2))
     # x + y >= 0 touches it at the origin alone
     @example((forms_2d((1, 0, 0), (0, 1, 0), (-1, 0, -1), (0, -1, -1), (1, 1, 0)), 2))
+    @example((SQUARE_PYRAMID, 3))
+    @example((OCTAHEDRON, 3))
+    # refused as "form 5 ((0, 0, -1)) is not a facet"
+    @example((CAPPED_PYRAMID, 3))
     def test_a_form_is_refused_exactly_when_its_vertices_span_no_facet(self, system):
         forms, n = system
         assume(len(set(forms)) == len(forms))  # a repeated form is refused before the walk
@@ -169,15 +173,22 @@ class TestEnumeration:
     def test_one_elimination_per_edge(self, monkeypatch, name, params, start):
         """The walk solves each edge once, from whichever end it reaches first.
         `start` is the number of n-subsets of forms tried before the first
-        feasible basic solution."""
+        feasible basic solution.  The facet check and the triangulation
+        read the walk's incidences and eliminate nothing more."""
         p = catalog(name, *params)
         calls = []
         eliminate = exact._eliminate
         monkeypatch.setattr(exact, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
         enumerate_vertices(p.forms, p.n)
         edges = sum(len(v.edge_generators) for v in p.vertices) // 2
-        # the line test, the start search, one per edge, the span rank
-        assert len(calls) == 1 + start + edges + 1
+        # the line test, the start search, one per edge
+        assert len(calls) == 1 + start + edges
+        calls.clear()
+        q = DelzantPolytope.from_forms(p.forms, p.n)
+        assert len(calls) == 1 + start + edges
+        calls.clear()
+        torickit.soliton._simplices(q)
+        assert not calls
 
     def test_enumeration_commutes_with_unimodular_maps(self):
         rng = np.random.default_rng(3)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from torickit import (
+    AffineForm,
     BadMargin,
+    DelzantPolytope,
     catalog,
     geometric_ts,
     interior_distance,
@@ -60,6 +62,12 @@ def test_random_points_deterministic_and_interior(catalog_polytope):
     assert np.all(catalog_polytope.lambdas(a) > 0)
 
 
+def scaled_hirzebruch(s):
+    """hirzebruch(1) with its offsets times s: x, y >= 0, x + y <= 2s, x <= s,
+    whose inradius is s / 2."""
+    return DelzantPolytope.from_forms([AffineForm(f.u, f.b * s) for f in catalog("hirzebruch", 1).forms])
+
+
 @pytest.mark.parametrize(
     "name,params,want",
     [
@@ -68,20 +76,28 @@ def test_random_points_deterministic_and_interior(catalog_polytope):
         ("simplex", (4,), 1 / 6),
         ("cube", (3,), 0.5),
         ("blowup_cp2", (3,), 1 / np.sqrt(2)),
+        # an absolute floor in the feasibility tolerance once let infeasible
+        # solutions through at s = 1e-12, and gave s / sqrt(2)
+        ("scaled_hirzebruch", (1,), 0.5),
+        ("scaled_hirzebruch", (F(1, 10**6),), 0.5e-6),
+        ("scaled_hirzebruch", (F(1, 10**12),), 0.5e-12),
     ],
 )
 def test_inradius(name, params, want):
-    assert sampling.inradius(catalog(name, *params)) == pytest.approx(want, rel=1e-12)
+    p = scaled_hirzebruch(*params) if name == "scaled_hirzebruch" else catalog(name, *params)
+    assert sampling.inradius(p) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_random_points_refuse_a_margin_from_the_inradius_on():
-    p = catalog("simplex", 2)
-    r = sampling.inradius(p)
-    for margin in (r, 0.4):
-        with pytest.raises(BadMargin, match="inradius"):
-            random_interior_points(p, 5, margin=margin)
-    pts = random_interior_points(p, 5, margin=0.95 * r)
-    assert np.all(interior_distance(p, pts) >= 0.95 * r)
+    cases = [(catalog("simplex", 2), 0.4)]
+    cases += [(scaled_hirzebruch(s), 0.55 * s) for s in (F(1), F(1, 10**6), F(1, 10**12))]
+    for p, beyond in cases:
+        r = sampling.inradius(p)
+        for margin in (r, float(beyond)):
+            with pytest.raises(BadMargin, match="inradius"):
+                random_interior_points(p, 5, margin=margin)
+        pts = random_interior_points(p, 5, margin=0.95 * r)
+        assert np.all(interior_distance(p, pts) >= 0.95 * r)
 
 
 def test_geometric_ladder():

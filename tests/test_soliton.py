@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import halfspace_systems, lattice_maps, polytopes
+from strategies import CAPPED_PYRAMID, OCTAHEDRAL_PRISM, OCTAHEDRON, SQUARE_PYRAMID, halfspace_systems, lattice_maps, polytopes
 import torickit.potential
 import torickit.soliton
 from torickit import exact
@@ -36,6 +36,7 @@ from torickit import (
     Polynomial,
     catalog,
     einstein_verdict_from_samples,
+    enumerate_vertices,
     exact_volume,
     fano_normalize,
     interior_grid,
@@ -139,6 +140,12 @@ def _with_images(p):
 @example(catalog("simplex", 2, F(3, 2)))
 # vertices listed against their lexicographic order, as a hand-built polytope may
 @example(DelzantPolytope(catalog("blowup_cp2", 2).forms, catalog("blowup_cp2", 2).vertices[::-1], 2))
+@example(DelzantPolytope.from_forms(SQUARE_PYRAMID, 3))
+@example(DelzantPolytope.from_forms(OCTAHEDRON, 3))
+# built by hand, with a form tight at the apex alone that cuts no facet
+@example(DelzantPolytope(CAPPED_PYRAMID, enumerate_vertices(CAPPED_PYRAMID, 3), 3))
+# a face whose facet two forms cut out is coned over that facet once
+@example(DelzantPolytope.from_forms(OCTAHEDRAL_PRISM, 4))
 def test_integer_triangulation_matches_the_coordinate_one(p):
     """triangulate and exact_volume read integer vertex rows; the pulling
     triangulation on Fraction coordinates must give the same simplices, in
