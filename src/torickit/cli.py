@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import exact, sampling
-from .curvature import extremality_from_samples, scalar_curvature_fd, scalar_curvatures
+from .curvature import extremality_from_samples, scalar_curvatures, scalar_curvatures_fd
 from .errors import BadMargin, BadParams, OutOfFloatRange, ParseError, RedundantForm, ToricError, UnknownName
 from .polytope import DelzantPolytope, catalog, check_delzant, polytope_from_json
 from .potential import SymplecticPotential, potential_from_json
@@ -147,10 +147,7 @@ def cmd_curvature(args) -> int:
         )
     else:
         pts = sampling.interior_grid(pot.polytope, args.grid, args.margin)
-    if args.method == "analytic":
-        values = scalar_curvatures(pot, pts)
-    else:
-        values = np.array([scalar_curvature_fd(pot, x) for x in pts])
+    values = (scalar_curvatures if args.method == "analytic" else scalar_curvatures_fd)(pot, pts)
     # The affinity test always fits analytic curvature on the grid.
     if args.random or args.method != "analytic":
         grid_pts = sampling.interior_grid(pot.polytope, args.grid, args.margin)

@@ -12,7 +12,7 @@ computed analytically from the metric jet via
                      - G^{-1} (d_k d_j G) G^{-1}
 
 or, as an independent route, by Richardson-extrapolated central
-differences of the entries of G^{-1}.  The canonical potential (h = 0)
+differences of the entries of G^{-1} alone.  The canonical potential (h = 0)
 uses Abreu's closed form in C = U G^{-1} U^T, the metric pairings of the
 normals,
 
@@ -25,22 +25,24 @@ however large the polytope, as
     s = sum_a Q_aa^2 / lambda_a
         - 1/4 sum_ab (Q_ab^3 + Q_aa Q_ab Q_bb) / sqrt(lambda_a lambda_b),
 
-and a perturbed potential the jet formula above.  Both run in batches
-from `metric_jets`; one point is a batch of one row.  Canonical
-potentials give s = 4 on the unit interval, 12 on the unit simplex, 8 on
-the unit square; a metric is extremal exactly when s is an affine
-function.
+and a perturbed potential the jet formula above.  All routes run in
+batches from `metric_jets`, each finite-difference stencil too; one
+point is a batch of one row.  Canonical potentials give s = 4 on the
+unit interval, 12 on the unit simplex, 8 on the unit square; a metric
+is extremal exactly when s is an affine function.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import sampling
 from .errors import DegenerateSampleSet
-from .potential import MetricBatch, SymplecticPotential, metric_jet, metric_jets
+from .potential import _CHUNK, MetricBatch, SymplecticPotential, metric_jet, metric_jets
 
 FD_STEP_FRACTION = 24.0       # step = interior distance / 24
 FD_MARGIN_FACTOR = 10.0       # require distance >= 10 * step
@@ -70,78 +72,80 @@ def _curvature_rows(pot: SymplecticPotential, b: MetricBatch) -> np.ndarray:
     )
 
 
-def _curvature_batches(pot: SymplecticPotential, points):
-    """Batches carrying what `_curvature_rows` needs."""
-    return metric_jets(pot, points, with_derivatives=not pot.h.is_zero)
-
-
 def scalar_curvatures(pot: SymplecticPotential, points) -> np.ndarray:
     """Analytic scalar curvature at each row of `points`, in batches."""
-    return np.concatenate([_curvature_rows(pot, b) for b in _curvature_batches(pot, points)])
+    batches = metric_jets(pot, points, with_derivatives=not pot.h.is_zero)
+    return np.concatenate([_curvature_rows(pot, b) for b in batches])
 
 
-def _ginv_entry_hessian(pot, x, h):
-    """Central second differences of all entries of G^{-1} at step h."""
-    n = len(x)
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def ginv(offset):
-        key = tuple(offset)
-        got = cache.get(key)
-        if got is None:
-            got = metric_jet(pot, x + h * np.array(offset, dtype=float)).G_inv
-            cache[key] = got
-        return got
-
-    center = ginv((0,) * n)
-    out = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                ej = tuple(int(i == j) for i in range(n))
-                mj = tuple(-int(i == j) for i in range(n))
-                out[j, k] = (ginv(ej)[j, k] - 2.0 * center[j, k] + ginv(mj)[j, k]) / h**2
-            else:
-                pp = tuple(int(i == j) + int(i == k) for i in range(n))
-                mm = tuple(-int(i == j) - int(i == k) for i in range(n))
-                pm = tuple(int(i == j) - int(i == k) for i in range(n))
-                mp = tuple(int(i == k) - int(i == j) for i in range(n))
-                out[j, k] = (
-                    ginv(pp)[j, k] + ginv(mm)[j, k] - ginv(pm)[j, k] - ginv(mp)[j, k]
-                ) / (4.0 * h**2)
-    return out
+def scalar_curvature_fd(pot: SymplecticPotential, x, step: float | None = None, levels: int = 2) -> float:
+    """Finite-difference scalar curvature at one point: the one-row batch."""
+    return float(scalar_curvatures_fd(pot, [x], step, levels)[0])
 
 
-def scalar_curvature_fd(
-    pot: SymplecticPotential, x, step: float | None = None, levels: int = 2
-) -> float:
-    """Finite-difference scalar curvature with Richardson extrapolation.
+@cache
+def _stencil(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stencil's offsets, centre first, then in the order the entries
+    (j, k), row by row, first read them; and the four offsets each entry
+    reads (e_j, -e_j and the centre twice when j = k)."""
+    e = np.eye(n, dtype=int)
+    index = {(0,) * n: 0}
+    reads = [[index.setdefault(tuple(o), len(index)) for o in
+              ([e[j], -e[j], 0 * e[j], 0 * e[j]] if j == k else [e[j] + e[k], -e[j] - e[k], e[j] - e[k], e[k] - e[j]])]
+             for j, k in itertools.product(range(n), repeat=2)]
+    return np.array(list(index), dtype=float), np.array(reads)
 
-    The step defaults to (distance to boundary) / 24 and must satisfy
-    distance >= 10 * step; an explicit step violating that margin is a
-    precondition error.  A point outside the polytope raises OutsideDomain.
-    """
-    x = np.asarray(x, dtype=float)
-    dist = float(sampling.interior_distance(pot.polytope, x))
-    if dist <= 0:
-        metric_jet(pot, x)      # OutsideDomain, naming the first violated form
-    if step is None:
-        step = dist / FD_STEP_FRACTION
-    if step <= 0 or dist < FD_MARGIN_FACTOR * step:
-        raise ValueError(
-            f"finite-difference step {step:.3e} too large for interior "
-            f"distance {dist:.3e} (need distance >= {FD_MARGIN_FACTOR}x step)"
-        )
-    estimates = [_ginv_entry_hessian(pot, x, step / 2**m) for m in range(levels + 1)]
-    # Central second differences have even error expansions: eliminate
-    # h^2 then h^4.
+
+def _fd_rows(pot: SymplecticPotential, x: np.ndarray, steps: np.ndarray, levels: int) -> np.ndarray:
+    """Finite-difference curvature at the rows of x, whose steps are checked."""
+    n = pot.n
+    offsets, reads = _stencil(n)
+    j, k = np.divmod(np.arange(n * n), n)
+    h = steps[:, None] / 2.0 ** np.arange(levels + 1)
+    rows = x[:, None, None] + h[:, :, None, None] * offsets       # point, level, offset
+    gi = np.concatenate([b.G_inv for b in metric_jets(pot, rows.reshape(-1, n))])
+    g = gi.reshape(rows.shape + (n,))[:, :, reads, j[:, None], k[:, None]]
+    # h^2 by Python's pow, as the one-point loop took it: numpy's square rounds differently
+    h2 = np.array([v**2 for v in h.ravel().tolist()]).reshape(h.shape + (1,))
+    est = np.where(j == k, (g[..., 0] - 2.0 * g[..., 2] + g[..., 1]) / h2,
+                   (g[..., 0] + g[..., 1] - g[..., 2] - g[..., 3]) / (4.0 * h2))
+    # Central differences have even error expansions: eliminate h^2, h^4, ...
     for power in range(1, levels + 1):
-        factor = 4.0**power
-        estimates = [
-            (factor * finer - coarser) / (factor - 1.0)
-            for coarser, finer in zip(estimates, estimates[1:])
-        ]
-    return float(-np.sum(estimates[0]))
+        est = (4.0**power * est[:, 1:] - est[:, :-1]) / (4.0**power - 1.0)
+    return -np.sum(np.ascontiguousarray(est[:, 0]), axis=1)     # summed as one n x n matrix
+
+
+def scalar_curvatures_fd(
+    pot: SymplecticPotential, points, step: float | None = None, levels: int = 2
+) -> np.ndarray:
+    """Finite-difference scalar curvature at each row of `points`, in batches.
+
+    s = -sum_jk d_j d_k G^{-1}_jk from central differences of G^{-1}
+    alone on the 1 + 2n^2 offsets 0, +-e_j, +-(e_j + e_k), +-(e_j - e_k),
+    at steps h, h/2, ..., h/2^levels, with Richardson's elimination of
+    h^2, h^4, ...  h defaults to (distance to boundary) / 24 and must
+    satisfy distance >= 10 h.  A group of points takes one `metric_jets`
+    call, point by point, level by level, centre first.  So the errors
+    are those of one point at a time: the first failing row raises
+    OutsideDomain or NotPositiveDefinite, and a step that breaks the
+    margin ValueError before the point's rows are evaluated
+    (OutsideDomain if the point is outside).
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dist = sampling.interior_distance(pot.polytope, pts)
+    steps = dist / FD_STEP_FRACTION if step is None else np.full(len(pts), step, dtype=float)
+    bad = (steps <= 0) | (dist < FD_MARGIN_FACTOR * steps)
+    end = int(np.argmax(bad)) if bad.any() else len(pts)
+    group = max(1, _CHUNK // ((levels + 1) * (1 + 2 * pot.n**2)))   # rows of a group fill a chunk
+    values = [_fd_rows(pot, pts[i : i + group], steps[i : i + group], levels) for i in range(0, end, group)]
+    if end < len(pts):
+        if dist[end] <= 0:
+            metric_jet(pot, pts[end])       # OutsideDomain, naming the first violated form
+        raise ValueError(
+            f"finite-difference step {steps[end]:.3e} too large for interior "
+            f"distance {dist[end]:.3e} (need distance >= {FD_MARGIN_FACTOR}x step)"
+        )
+    return np.concatenate([np.empty(0), *values])
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ def extremality_check(
 ) -> tuple[bool, AffineFit]:
     """Sample s on an interior grid and test affinity of the samples."""
     pts = sampling.interior_grid(pot.polytope, grid, margin)
-    return extremality_from_samples(pts, [scalar_curvature(pot, x) for x in pts], tol)
+    return extremality_from_samples(pts, scalar_curvatures(pot, pts), tol)
 
 
 def extremality_from_samples(points, values, tol: float | None = None) -> tuple[bool, AffineFit]:
@@ -227,7 +231,7 @@ def soliton_identity_residual(pot: SymplecticPotential, a, points) -> tuple[floa
     vals = np.concatenate(
         [
             _curvature_rows(pot, b) + np.einsum("i,pij,j->p", a, b.G_inv, a) + 2.0 * (b.x @ a)
-            for b in _curvature_batches(pot, points)
+            for b in metric_jets(pot, points, with_derivatives=not pot.h.is_zero)
         ]
     )
     const = float(vals.mean())
@@ -242,20 +246,14 @@ class FDCrossValidation:
     passed: bool
 
 
-def fd_cross_validate(
-    pot: SymplecticPotential, points, tol: float = 1e-5
-) -> FDCrossValidation:
+def fd_cross_validate(pot: SymplecticPotential, points, tol: float = 1e-5) -> FDCrossValidation:
     """Compare analytic and finite-difference curvature pointwise.
 
     Relative error uses max(1, |s|) in the denominator so near-zero
     curvatures do not blow the quotient up.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    worst = 0.0
-    for x in pts:
-        s_an = scalar_curvature(pot, x)
-        s_fd = scalar_curvature_fd(pot, x)
-        worst = max(worst, abs(s_an - s_fd) / max(1.0, abs(s_an)))
-    return FDCrossValidation(
-        max_rel_err=worst, tolerance=tol, n_points=len(pts), passed=worst <= tol
-    )
+    s_fd = scalar_curvatures_fd(pot, pts)
+    s_an = scalar_curvatures(pot, pts)
+    worst = float(np.max(np.abs(s_an - s_fd) / np.maximum(1.0, np.abs(s_an))))
+    return FDCrossValidation(max_rel_err=worst, tolerance=tol, n_points=len(pts), passed=worst <= tol)

@@ -473,8 +473,8 @@ def _carry(p: DelzantPolytope, mapped, order, rows, generator) -> DelzantPolytop
     old); `rows[i]` is the image of p's i-th vertex as an integer row (X, D)
     in lowest terms, and `generator(g)` that of an edge generator g.  The
     facets of v orthogonal to g are those of the edge, so its two ends meet
-    under one key.  Vertices and edges are sorted by image coordinates again.
-    """
+    under one key.  Vertices and edges are sorted by image coordinates again;
+    the span rank is p's."""
     where = {k: i for i, k in enumerate(order)}
     ends = {}
     for i, v in enumerate(p.vertices):
@@ -494,7 +494,7 @@ def _carry(p: DelzantPolytope, mapped, order, rows, generator) -> DelzantPolytop
         for i in ranked
     ]
     q = DelzantPolytope([mapped[k] for k in order], vertices, p.n)
-    q.__dict__["vertex_rows"] = tuple(rows[i] for i in ranked)
+    q.__dict__.update(vertex_rows=tuple(rows[i] for i in ranked), affine_span_rank=p.affine_span_rank)
     return q
 
 

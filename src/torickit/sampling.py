@@ -39,10 +39,11 @@ def inradius(p: DelzantPolytope) -> float:
 
     As a linear programme in (x, r) its optimum is a vertex where n + 1
     of the constraints are tight, so it is the largest feasible r over
-    the solutions of those (n+1) x (n+1) systems.
-    """
+    the solutions of those (n+1) x (n+1) systems.  Its origin is a vertex,
+    so the feasibility tolerance follows p's size, not its position."""
     a = np.hstack([p.normals_float, -p.normal_lengths[:, None]])
-    b = p.offsets_float
+    *x, d = p.vertex_rows[0]                # the vertex x / d; the offsets seen from it, exactly
+    b = exact.floats([(f.b * d - sum(u * c for u, c in zip(f.u, x))) / d for f in p.forms])
     subsets = np.array(list(itertools.combinations(range(len(b)), p.n + 1)))
     mats, rhs = a[subsets], b[subsets]
     keep = np.abs(np.linalg.det(mats)) > 1e-9

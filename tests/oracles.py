@@ -1,15 +1,17 @@
 """Independent oracles the tests freeze expected values against.
 
-Nothing here touches the package's own derivative, quadrature or
-elimination code: curvature comes from sympy symbolic differentiation or
-from a metric jet built entry by entry, moments from scipy adaptive
-quadrature over a halfspace description, divided differences of exp from
-one bidiagonal exponential per vertex pair or from a 50-digit mpmath power
-series, areas from the shoelace formula,
-vertices from an exhaustive search over basic solutions, linear algebra
+Nothing here but the finite-difference loop touches the package's own
+derivative, quadrature or elimination code: curvature comes from sympy
+symbolic differentiation or from a metric jet built entry by entry,
+moments from scipy adaptive quadrature over a halfspace description,
+divided differences of exp from one bidiagonal exponential per vertex
+pair or from a 50-digit mpmath power series, areas from the shoelace
+formula, vertices from an exhaustive search over basic solutions, linear algebra
 from Gauss-Jordan elimination over Fraction, triangulations and volumes
 from Fraction coordinates, the anticanonical model from a fresh vertex
-walk over its own forms.
+walk over its own forms.  The finite-difference loop is the per-point
+reference for the batched route: it reads the package's own G^{-1}, one
+point and one offset at a time.
 """
 
 import itertools
@@ -28,6 +30,9 @@ from torickit import (
     Unbounded,
     VertexData,
     check_delzant,
+    interior_distance,
+    metric_jet,
+    metric_jets,
 )
 
 
@@ -285,6 +290,76 @@ def central_second_difference(f, x, i, j, h):
     return (
         f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
     ) / (4.0 * h**2)
+
+
+def _ginv_entry_hessian(pot, x, h, batched):
+    """Central second differences of all entries of G^{-1} at step h.
+
+    G^{-1} comes from one `metric_jet` per offset, each on first use, or,
+    with `batched`, from one `metric_jets` call over every offset at once.
+    """
+    n = len(x)
+    cache: dict[tuple[int, ...], np.ndarray] = {}
+    if batched:
+        offsets = [o for o in itertools.product((-1, 0, 1), repeat=n) if sum(map(abs, o)) <= 2]
+        rows = [x + h * np.array(o, dtype=float) for o in offsets]
+        cache.update(zip(offsets, np.concatenate([b.G_inv for b in metric_jets(pot, rows)])))
+
+    def ginv(offset):
+        key = tuple(offset)
+        got = cache.get(key)
+        if got is None:
+            got = metric_jet(pot, x + h * np.array(offset, dtype=float)).G_inv
+            cache[key] = got
+        return got
+
+    center = ginv((0,) * n)
+    out = np.empty((n, n))
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                ej = tuple(int(i == j) for i in range(n))
+                mj = tuple(-int(i == j) for i in range(n))
+                out[j, k] = (ginv(ej)[j, k] - 2.0 * center[j, k] + ginv(mj)[j, k]) / h**2
+            else:
+                pp = tuple(int(i == j) + int(i == k) for i in range(n))
+                mm = tuple(-int(i == j) - int(i == k) for i in range(n))
+                pm = tuple(int(i == j) - int(i == k) for i in range(n))
+                mp = tuple(int(i == k) - int(i == j) for i in range(n))
+                out[j, k] = (
+                    ginv(pp)[j, k] + ginv(mm)[j, k] - ginv(pm)[j, k] - ginv(mp)[j, k]
+                ) / (4.0 * h**2)
+    return out
+
+
+def fd_curvature(pot, x, step=None, levels=2, batched=False):
+    """Finite-difference scalar curvature at one point, with Richardson
+    extrapolation: the per-point loop that `scalar_curvatures_fd` batches.
+
+    Its values and errors are those of `scalar_curvature_fd` before the
+    batch.  A one-row `metric_jet` may round lambda differently from a
+    multi-row batch (BLAS gemv against gemm), so `batched` takes G^{-1}
+    from multi-row calls, as the batch does.
+    """
+    x = np.asarray(x, dtype=float)
+    dist = float(interior_distance(pot.polytope, x))
+    if dist <= 0:
+        metric_jet(pot, x)      # OutsideDomain, naming the first violated form
+    if step is None:
+        step = dist / 24.0
+    if step <= 0 or dist < 10.0 * step:
+        raise ValueError(
+            f"finite-difference step {step:.3e} too large for interior "
+            f"distance {dist:.3e} (need distance >= {10.0}x step)"
+        )
+    estimates = [_ginv_entry_hessian(pot, x, step / 2**m, batched) for m in range(levels + 1)]
+    for power in range(1, levels + 1):
+        factor = 4.0**power
+        estimates = [
+            (factor * finer - coarser) / (factor - 1.0)
+            for coarser, finer in zip(estimates, estimates[1:])
+        ]
+    return float(-np.sum(estimates[0]))
 
 
 def fraction_eliminate(rows, ncols):

@@ -22,6 +22,8 @@ from torickit import CATALOG_DEFAULTS, Polynomial, SymplecticPotential, catalog,
 from torickit import cli
 from torickit.cli import main
 
+import oracles
+
 F = Fraction
 
 T_STAR = -0.5276195198969447
@@ -222,6 +224,22 @@ class TestCurvature:
         assert rc == 0
         values = np.array(doc["samples"])[:, -1]
         assert np.max(np.abs(values - 4.0)) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--catalog", "hirzebruch(1)", "--grid", "7"],
+            ["--catalog", "blowup_cp2(2)", "--random", "30", "--seed", "3", "--grid", "5", "--format", "csv"],
+            ["--catalog", "cube(3)", "--grid", "4"],
+        ],
+    )
+    def test_finite_differences_repeat_the_point_by_point_report(self, capsys, monkeypatch, argv):
+        argv = ["curvature", *argv, "--method", "finite-difference"]
+        rc, out, err = run(capsys, *argv)
+        monkeypatch.setattr(
+            cli, "scalar_curvatures_fd", lambda pot, pts: np.array([oracles.fd_curvature(pot, x) for x in pts])
+        )
+        assert run(capsys, *argv) == (rc, out, err)
 
     def test_perturbed_potential_file(self, capsys, tmp_path):
         pot = SymplecticPotential(

@@ -9,10 +9,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torickit import (
+    CATALOG_DEFAULTS,
     AffineFit,
     DegenerateSampleSet,
+    NotPositiveDefinite,
     OutsideDomain,
     Polynomial,
     SymplecticPotential,
@@ -25,11 +29,13 @@ from torickit import (
     random_interior_points,
     scalar_curvature,
     scalar_curvature_fd,
+    scalar_curvatures_fd,
     soliton_identity_residual,
 )
 from torickit import sampling
 
 import oracles
+from strategies import lattice_maps
 
 F = Fraction
 
@@ -144,6 +150,92 @@ class TestFiniteDifferenceRoute:
         rep = fd_cross_validate(pot, pts)
         assert rep.passed
         assert rep.max_rel_err < 1e-5
+
+
+# simplex(2) with h = -5 x_1^2 loses positive definiteness near x_1 = 0.112:
+# (0.11, 0.2) is a valid point whose stencil reaches past it, (0.3, 0.3) is
+# not valid.
+INDEFINITE = SymplecticPotential(catalog("simplex", 2), Polynomial(2, {(2, 0): F(-5)}))
+PERTURBED = SymplecticPotential(catalog("simplex", 2), Polynomial(2, {(2, 2): F(1, 100)}))
+
+
+def raised(call):
+    """The type, arguments and payload of what `call()` raises."""
+    with pytest.raises((OutsideDomain, NotPositiveDefinite, ValueError)) as info:
+        call()
+    return type(info.value), info.value.args, vars(info.value)
+
+
+@st.composite
+def fd_cases(draw):
+    """A catalog potential, a lattice image of one or the perturbed simplex,
+    1-40 interior points, an explicit step within their margin and 0-3
+    Richardson levels."""
+    kind = draw(st.sampled_from(["catalog", "image", "perturbed"]))
+    if kind == "perturbed":
+        pot = PERTURBED
+    else:
+        name, params = draw(st.sampled_from(CATALOG_DEFAULTS))
+        p = catalog(name, *params)
+        if kind == "image":
+            p = draw(lattice_maps(p.n)).apply_polytope(p)
+        pot = SymplecticPotential.guillemin(p)
+    r = sampling.inradius(pot.polytope)
+    pts = random_interior_points(pot.polytope, draw(st.integers(1, 40)), margin=0.2 * r,
+                                 rng=draw(st.integers(0, 2**16)))
+    step = draw(st.floats(0.05, 0.9)) * 0.02 * r     # distance >= 0.2 r > 10 step
+    return pot, pts, step, draw(st.integers(0, 3))
+
+
+class TestBatchedFiniteDifferences:
+    @settings(max_examples=40, deadline=None)
+    @given(fd_cases())
+    def test_batch_repeats_the_point_by_point_arithmetic(self, case):
+        pot, pts, step, levels = case
+        got = scalar_curvatures_fd(pot, pts, step=step, levels=levels)
+        want = [oracles.fd_curvature(pot, x, step, levels, batched=True) for x in pts]
+        assert got.tolist() == want
+        assert scalar_curvature_fd(pot, pts[0], step, levels) == want[0]
+
+    @pytest.mark.parametrize("levels", [0, 2])
+    def test_catalog_values_are_those_of_the_one_point_loop(self, catalog_potential, levels):
+        # Lattice images can differ in the last bit: there a one-row jet
+        # rounds lambda differently from a batch (see oracles.fd_curvature).
+        for pot in (catalog_potential, PERTURBED):
+            r = sampling.inradius(pot.polytope)
+            pts = random_interior_points(pot.polytope, 30, margin=0.2 * r, rng=5)
+            want = [oracles.fd_curvature(pot, x, levels=levels) for x in pts]
+            assert scalar_curvatures_fd(pot, pts, levels=levels).tolist() == want
+
+    @pytest.mark.parametrize(
+        "pot,pts,step",
+        [
+            # a stencil row fails before a later point lies outside
+            (INDEFINITE, [(0.05, 0.3), (0.11, 0.2), (2.0, 2.0)], None),
+            (INDEFINITE, [(0.05, 0.3), (2.0, 2.0), (0.11, 0.2)], None),
+            # the point itself is not positive definite
+            (INDEFINITE, [(0.05, 0.3), (0.3, 0.3)], None),
+            # the step breaks the margin: the step is checked before the point
+            (INDEFINITE, [(0.05, 0.3), (0.02, 0.3)], 0.004),
+            (INDEFINITE, [(0.3, 0.3)], 0.1),
+            (INDEFINITE, [(0.11, 0.2), (0.01, 0.3)], 0.0045),
+            (INDEFINITE, [(0.05, 0.3)], 0.0),
+            (PERTURBED, [(0.3, 0.3), (0.5, 0.6)], None),
+            (guillemin("cube", 3), [(0.5, 0.5, 0.5), (0.5, 0.5, 1.0)], 0.01),
+        ],
+    )
+    def test_errors_are_those_of_the_point_by_point_loop(self, pot, pts, step):
+        want = raised(lambda: [oracles.fd_curvature(pot, np.array(x), step) for x in pts])
+        assert raised(lambda: scalar_curvatures_fd(pot, pts, step=step)) == want
+        if step is None:
+            def loop():
+                for x in np.array(pts):
+                    scalar_curvature(pot, x)
+                    oracles.fd_curvature(pot, x)
+            assert raised(lambda: fd_cross_validate(pot, pts)) == raised(loop)
+
+    def test_no_points(self):
+        assert scalar_curvatures_fd(guillemin("simplex", 2), np.empty((0, 2))).shape == (0,)
 
 
 class TestAffineFit:

@@ -9,6 +9,7 @@ from torickit import (
     AffineForm,
     BadMargin,
     DelzantPolytope,
+    UnimodularMap,
     catalog,
     geometric_ts,
     interior_distance,
@@ -68,6 +69,11 @@ def scaled_hirzebruch(s):
     return DelzantPolytope.from_forms([AffineForm(f.u, f.b * s) for f in catalog("hirzebruch", 1).forms])
 
 
+def moved_hirzebruch(s):
+    """`scaled_hirzebruch(s)` moved by (1000, 1000)."""
+    return UnimodularMap(((1, 0), (0, 1)), (-1000, -1000)).apply_polytope(scaled_hirzebruch(s))
+
+
 @pytest.mark.parametrize(
     "name,params,want",
     [
@@ -81,16 +87,23 @@ def scaled_hirzebruch(s):
         ("scaled_hirzebruch", (1,), 0.5),
         ("scaled_hirzebruch", (F(1, 10**6),), 0.5e-6),
         ("scaled_hirzebruch", (F(1, 10**12),), 0.5e-12),
+        # a tolerance taken from the offsets far from the origin once let
+        # infeasible solutions through at s = 1e-6 and 1e-9
+        ("moved_hirzebruch", (1,), 0.5),
+        ("moved_hirzebruch", (F(1, 10**6),), 0.5e-6),
+        ("moved_hirzebruch", (F(1, 10**9),), 0.5e-9),
     ],
 )
 def test_inradius(name, params, want):
-    p = scaled_hirzebruch(*params) if name == "scaled_hirzebruch" else catalog(name, *params)
+    built = {"scaled_hirzebruch": scaled_hirzebruch, "moved_hirzebruch": moved_hirzebruch}
+    p = built[name](*params) if name in built else catalog(name, *params)
     assert sampling.inradius(p) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_random_points_refuse_a_margin_from_the_inradius_on():
     cases = [(catalog("simplex", 2), 0.4)]
     cases += [(scaled_hirzebruch(s), 0.55 * s) for s in (F(1), F(1, 10**6), F(1, 10**12))]
+    cases += [(moved_hirzebruch(s), 0.55 * s) for s in (F(1), F(1, 10**6), F(1, 10**9))]
     for p, beyond in cases:
         r = sampling.inradius(p)
         for margin in (r, float(beyond)):

@@ -614,6 +614,16 @@ class TestVerdicts:
         assert verdict.conclusion is Conclusion.EINSTEIN
         assert all(c["passed"] for c in verdict.certificates.values())
 
+    @pytest.mark.parametrize("name, params", [("cube", (4,)), ("blowup_cp2", (3,)), ("hirzebruch", (1,))])
+    def test_verdict_on_a_model_eliminates_nothing(self, monkeypatch, name, params):
+        # the model carries p's span rank; the vertex test reads it
+        pot = SymplecticPotential(fano_normalize(catalog(name, *params)).base)
+        calls = []
+        eliminate = exact._eliminate
+        monkeypatch.setattr(exact, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+        assert verify_einstein(pot, [0.0] * pot.n, grid=4).conclusion is Conclusion.EINSTEIN
+        assert calls == []
+
     def test_zero_samples_recover_zero_coefficients(self):
         # an affine function vanishing on all square vertices is zero
         p = catalog("cube", 2)
