@@ -112,7 +112,7 @@ def _fd_rows(pot: SymplecticPotential, x: np.ndarray, steps: np.ndarray, levels:
     # Central differences have even error expansions: eliminate h^2, h^4, ...
     for power in range(1, levels + 1):
         est = (4.0**power * est[:, 1:] - est[:, :-1]) / (4.0**power - 1.0)
-    return -np.sum(np.ascontiguousarray(est[:, 0]), axis=1)     # summed as one n x n matrix
+    return -np.sum(np.ascontiguousarray(est[:, 0]), axis=1)     # est is not C-ordered: sum as one n x n matrix
 
 
 def scalar_curvatures_fd(
@@ -137,7 +137,8 @@ def scalar_curvatures_fd(
     bad = (steps <= 0) | (dist < FD_MARGIN_FACTOR * steps)
     end = int(np.argmax(bad)) if bad.any() else len(pts)
     group = max(1, _CHUNK // ((levels + 1) * (1 + 2 * pot.n**2)))   # rows of a group fill a chunk
-    values = [_fd_rows(pot, pts[i : i + group], steps[i : i + group], levels) for i in range(0, end, group)]
+    good, good_steps = pts[:end], steps[:end]     # rows past the first bad point are never evaluated
+    values = [_fd_rows(pot, good[i : i + group], good_steps[i : i + group], levels) for i in range(0, end, group)]
     if end < len(pts):
         if dist[end] <= 0:
             metric_jet(pot, pts[end])       # OutsideDomain, naming the first violated form
@@ -255,5 +256,5 @@ def fd_cross_validate(pot: SymplecticPotential, points, tol: float = 1e-5) -> FD
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     s_fd = scalar_curvatures_fd(pot, pts)
     s_an = scalar_curvatures(pot, pts)
-    worst = float(np.max(np.abs(s_an - s_fd) / np.maximum(1.0, np.abs(s_an))))
+    worst = float(np.max(np.abs(s_an - s_fd) / np.maximum(1.0, np.abs(s_an)), initial=0.0))
     return FDCrossValidation(max_rel_err=worst, tolerance=tol, n_points=len(pts), passed=worst <= tol)

@@ -33,6 +33,7 @@ from torickit import (
     soliton_identity_residual,
 )
 from torickit import sampling
+from torickit.curvature import FDCrossValidation
 
 import oracles
 from strategies import lattice_maps
@@ -220,6 +221,9 @@ class TestBatchedFiniteDifferences:
             (INDEFINITE, [(0.3, 0.3)], 0.1),
             (INDEFINITE, [(0.11, 0.2), (0.01, 0.3)], 0.0045),
             (INDEFINITE, [(0.05, 0.3)], 0.0),
+            # the too-large step of a later point would reach outside
+            (guillemin("simplex", 2), [(0.3, 0.3), (0.01, 0.3)], 0.02),
+            (guillemin("simplex", 2), [(0.3, 0.3), (0.01, 0.3), (0.2, 0.2)], 0.02),
             (PERTURBED, [(0.3, 0.3), (0.5, 0.6)], None),
             (guillemin("cube", 3), [(0.5, 0.5, 0.5), (0.5, 0.5, 1.0)], 0.01),
         ],
@@ -235,7 +239,9 @@ class TestBatchedFiniteDifferences:
             assert raised(lambda: fd_cross_validate(pot, pts)) == raised(loop)
 
     def test_no_points(self):
-        assert scalar_curvatures_fd(guillemin("simplex", 2), np.empty((0, 2))).shape == (0,)
+        pot = guillemin("simplex", 2)
+        assert scalar_curvatures_fd(pot, np.empty((0, 2))).shape == (0,)
+        assert fd_cross_validate(pot, np.empty((0, 2))) == FDCrossValidation(0.0, 1e-5, 0, True)
 
 
 class TestAffineFit:
