@@ -63,7 +63,8 @@ def _curvature_rows(pot: SymplecticPotential, b: MetricBatch) -> np.ndarray:
         q = w @ gi @ w.swapaxes(1, 2)
         d = np.diagonal(q, axis1=1, axis2=2)
         cubic = q**3 + d[:, :, None] * q * d[:, None, :]
-        return np.sum(d**2 * r**2, axis=1) - 0.25 * np.einsum("pa,pab,pb->p", r, cubic, r)
+        # a stacked matmul: einsum sums r^T cubic r differently for one row
+        return np.sum(d**2 * r**2, axis=1) - 0.25 * (r[:, None, :] @ cubic @ r[:, :, None])[:, 0, 0]
     a = gi[:, None] @ b.dG @ gi[:, None]        # a[:, k] = G^-1 (d_k G) G^-1
     return (
         np.einsum("pjc,pkjcd,pdk->p", gi, b.d2G, gi)
@@ -227,7 +228,7 @@ def extremality_from_samples(points, values, tol: float | None = None) -> tuple[
 
 def soliton_identity_residual(pot: SymplecticPotential, a, points) -> tuple[float, float]:
     """Best constant and residual for s + |grad f|^2 + 2 f over samples,
-    where f = <a, x>."""
+    where f = <a, x>.  Raises DegenerateSampleSet on an empty set of points."""
     a = np.asarray(a, dtype=float)
     vals = np.concatenate(
         [
@@ -235,6 +236,8 @@ def soliton_identity_residual(pot: SymplecticPotential, a, points) -> tuple[floa
             for b in metric_jets(pot, points, with_derivatives=not pot.h.is_zero)
         ]
     )
+    if not len(vals):
+        raise DegenerateSampleSet("no sample points for the identity residual")
     const = float(vals.mean())
     return const, float(np.max(np.abs(vals - const)))
 

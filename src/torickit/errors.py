@@ -37,7 +37,7 @@ class OutsideDomain(ToricError):
     """Evaluation requested at a point not in the polytope interior."""
 
     def __init__(self, point, form_index, value):
-        self.point = tuple(point)
+        self.point = tuple(map(float, point))
         self.form_index = int(form_index)
         self.value = float(value)
         super().__init__(
@@ -50,7 +50,7 @@ class NotPositiveDefinite(ToricError):
     """The metric Hessian lost positive definiteness."""
 
     def __init__(self, point, eigenvalue):
-        self.point = tuple(point)
+        self.point = tuple(map(float, point))
         self.eigenvalue = float(eigenvalue)
         super().__init__(
             f"Hessian not positive definite at {self.point} "

@@ -266,8 +266,8 @@ class DelzantPolytope:
 
     def lambdas(self, x: np.ndarray) -> np.ndarray:
         """Float values of every defining form at x (points in rows ok)."""
-        x = np.asarray(x, dtype=float)
-        return x @ self.normals_float.T - self.offsets_float
+        # einsum, not x @ U^T: BLAS rounds one row (gemv) and many (gemm) differently
+        return np.einsum("...i,ki->...k", np.asarray(x, dtype=float), self.normals_float) - self.offsets_float
 
     def vertex_at(self, point) -> VertexData:
         if isinstance(point, VertexData):

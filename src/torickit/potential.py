@@ -15,7 +15,9 @@ the standard simplex G(1/3, 1/3) = [[3, 3/2], [3/2, 3]].
 Every derivative of g is computed in one place, `_metric_rows`, over the
 rows of an (N, n) array: `metric_jets` feeds it in chunks and
 `metric_jet` is its one-row case.  h enters through its partials,
-compiled once per order into exponent and weight arrays.
+compiled once per order into exponent and weight arrays.  No 2-D matmul
+runs over the rows (BLAS rounds one row and many differently): einsum
+contracts each row alone, so a point's jet is its row of any batch.
 
 The inverse metric G^{-1} extends continuously by zero to the vertices,
 and 1/det G factors as delta(x) * prod_k lambda_k(x) with delta smooth
@@ -32,10 +34,10 @@ from math import factorial
 
 import numpy as np
 
-from . import exact
-from .errors import NotPositiveDefinite, OutsideDomain, ParseError
+from . import exact, sampling
+from .errors import DegenerateSampleSet, NotPositiveDefinite, OutsideDomain, ParseError
 from .polynomial import Polynomial, polynomial_from_json
-from .polytope import DelzantPolytope, VertexData, polytope_from_json
+from .polytope import DelzantPolytope, _orthant, polytope_from_json
 
 # Points per batch evaluation.  Every per-point temporary (up to n^4 floats
 # for the fourth derivative) is held for one chunk at a time, so memory stays
@@ -88,7 +90,7 @@ class SymplecticPotential:
     def _h_rows(self, order: int, x: np.ndarray) -> np.ndarray:
         """Order-`order` partials of h at the rows of x, flattened to (N, n^order)."""
         exponents, weights, gather = self._h_plan(order)
-        return (np.prod(x[:, None, :] ** exponents, axis=-1) @ weights)[:, gather]
+        return np.einsum("pe,ec->pc", np.prod(x[:, None, :] ** exponents, axis=-1), weights)[:, gather]
 
     @cached_property
     def _normal_powers(self) -> list[np.ndarray]:
@@ -98,9 +100,6 @@ class SymplecticPotential:
         for _ in range(4):
             powers.append((powers[-1][:, :, None] * u[:, None, :]).reshape(len(u), -1))
         return powers
-
-    def lambdas(self, x: np.ndarray) -> np.ndarray:
-        return self.polytope.lambdas(x)
 
     def to_json(self) -> dict:
         return {"polytope": self.polytope.to_json(), "h": self.h.to_json()}
@@ -195,7 +194,7 @@ def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool
     lambda_k <= 0, else NotPositiveDefinite for the first row whose
     smallest eigenvalue is not positive.
     """
-    lam = pot.lambdas(x)
+    lam = pot.polytope.lambdas(x)
     bad = lam <= 0
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
@@ -203,7 +202,7 @@ def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool
         raise OutsideDomain(x[i], k, lam[i, k])
     derivs = []
     for r in range(2, 5 if with_derivatives else 3):
-        d = 0.5 * (-1) ** r * factorial(r - 2) * lam ** (1.0 - r) @ pot._normal_powers[r]
+        d = np.einsum("pk,ka->pa", 0.5 * (-1) ** r * factorial(r - 2) * lam ** (1.0 - r), pot._normal_powers[r])
         if not pot.h.is_zero:
             d = d + 0.5 * pot._h_rows(r, x)
         derivs.append(d.reshape((len(x),) + (pot.n,) * r))
@@ -269,13 +268,11 @@ class DetFactorizationReport:
 def det_factorization_check(
     pot: SymplecticPotential, points, max_ratio: float = 1e3
 ) -> DetFactorizationReport:
-    """Sample delta and require positivity with bounded variation."""
+    """Sample delta and require positivity with bounded variation (no points: DegenerateSampleSet)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    deltas = np.empty(len(pts))
-    for i, x in enumerate(pts):
-        jet = metric_jet(pot, x)
-        lam = pot.lambdas(x)
-        deltas[i] = 1.0 / (jet.det_G * float(np.prod(lam)))
+    if not pts.size:
+        raise DegenerateSampleSet("no sample points to check delta at")
+    deltas = np.array([1.0 / (metric_jet(pot, x).det_G * float(np.prod(pot.polytope.lambdas(x)))) for x in pts])
     lo, hi = float(deltas.min()), float(deltas.max())
     ratio = hi / lo if lo > 0 else float("inf")
     return DetFactorizationReport(
@@ -285,6 +282,14 @@ def det_factorization_check(
         ratio=ratio,
         passed=lo > 0 and ratio <= max_ratio,
     )
+
+
+def _ladder(ts) -> np.ndarray:
+    """The probes' steps: fewer than 3 decreasing ones show no trend."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or len(ts) < 3 or not (np.all(ts > 0) and np.all(np.diff(ts) < 0)):
+        raise ValueError("ts must hold at least 3 positive, strictly decreasing steps")
+    return ts
 
 
 @dataclass(frozen=True)
@@ -308,16 +313,11 @@ def vertex_vanishing_probe(
 ) -> VanishingProbe:
     """Check that G^{-1} vanishes at least linearly along a ray into a vertex.
 
-    `vertex` may be a VertexData or an exact coordinate tuple; `ray` must
-    point into the interior for every sampled t.
+    `vertex` may be a VertexData or an exact coordinate tuple, `ray` must point
+    inside for every t, and `ts` hold 3 or more positive, strictly decreasing steps.
     """
-    v = exact.floats(vertex.coordinates if isinstance(vertex, VertexData) else vertex)
-    d = np.asarray(ray, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    norms = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        jet = metric_jet(pot, v + t * d)
-        norms[i] = float(np.max(np.abs(jet.G_inv)))
+    ts = _ladder(ts)
+    norms = np.array([np.max(np.abs(metric_jet(pot, x).G_inv)) for x in sampling.ray_points(vertex, ray, ts)])
     slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0])
     decreasing = bool(np.all(np.diff(norms) <= norms[:-1] * 1e-9 + 1e-300))
     passed = decreasing and norms[-1] <= tolerance and slope >= min_slope
@@ -344,24 +344,19 @@ def cofactor_growth_check(
 
     Requires a polytope normalised at the vertex: the first n forms must
     be the coordinate half spaces {x_i >= 0}, so the incident lambdas
-    are the coordinates themselves.
+    are the coordinates themselves, and `ts` as in vertex_vanishing_probe.
+    G comes from one `metric_jets` pass, cofactors from minors of each row.
     """
-    p = pot.polytope
-    n = p.n
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for i in range(n):
-        if p.forms[i].u != basis[i] or p.forms[i].b != 0:
-            raise ValueError(
-                "cofactor growth check needs a polytope normalised at the "
-                "origin vertex (first n forms = coordinate half spaces)"
-            )
-    d = np.asarray(ray, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    products = np.empty((len(ts), n, n))
-    for m, t in enumerate(ts):
-        x = t * d
-        jet = metric_jet(pot, x)
-        products[m] = jet.cof * float(np.prod(x))
+    n = pot.n
+    if list(pot.polytope.forms[:n]) != _orthant(n):
+        raise ValueError(
+            "cofactor growth check needs a polytope normalised at the "
+            "origin vertex (first n forms = coordinate half spaces)"
+        )
+    ts = _ladder(ts)
+    x = ts[:, None] * np.asarray(ray, dtype=float)
+    g = np.concatenate([b.G for b in metric_jets(pot, x)])
+    products = np.array([_cofactor_matrix(gm) * float(np.prod(xm)) for gm, xm in zip(g, x)])
     mags = np.abs(products)
     final_max = float(mags[-1].max())
     tail = mags[len(ts) // 2 :]

@@ -32,7 +32,6 @@ from torickit import (
     check_delzant,
     interior_distance,
     metric_jet,
-    metric_jets,
 )
 
 
@@ -292,18 +291,11 @@ def central_second_difference(f, x, i, j, h):
     ) / (4.0 * h**2)
 
 
-def _ginv_entry_hessian(pot, x, h, batched):
-    """Central second differences of all entries of G^{-1} at step h.
-
-    G^{-1} comes from one `metric_jet` per offset, each on first use, or,
-    with `batched`, from one `metric_jets` call over every offset at once.
-    """
+def _ginv_entry_hessian(pot, x, h):
+    """Central second differences of all entries of G^{-1} at step h,
+    from one `metric_jet` per offset, each on first use."""
     n = len(x)
     cache: dict[tuple[int, ...], np.ndarray] = {}
-    if batched:
-        offsets = [o for o in itertools.product((-1, 0, 1), repeat=n) if sum(map(abs, o)) <= 2]
-        rows = [x + h * np.array(o, dtype=float) for o in offsets]
-        cache.update(zip(offsets, np.concatenate([b.G_inv for b in metric_jets(pot, rows)])))
 
     def ginv(offset):
         key = tuple(offset)
@@ -332,14 +324,12 @@ def _ginv_entry_hessian(pot, x, h, batched):
     return out
 
 
-def fd_curvature(pot, x, step=None, levels=2, batched=False):
+def fd_curvature(pot, x, step=None, levels=2):
     """Finite-difference scalar curvature at one point, with Richardson
     extrapolation: the per-point loop that `scalar_curvatures_fd` batches.
 
     Its values and errors are those of `scalar_curvature_fd` before the
-    batch.  A one-row `metric_jet` may round lambda differently from a
-    multi-row batch (BLAS gemv against gemm), so `batched` takes G^{-1}
-    from multi-row calls, as the batch does.
+    batch.
     """
     x = np.asarray(x, dtype=float)
     dist = float(interior_distance(pot.polytope, x))
@@ -352,7 +342,7 @@ def fd_curvature(pot, x, step=None, levels=2, batched=False):
             f"finite-difference step {step:.3e} too large for interior "
             f"distance {dist:.3e} (need distance >= {10.0}x step)"
         )
-    estimates = [_ginv_entry_hessian(pot, x, step / 2**m, batched) for m in range(levels + 1)]
+    estimates = [_ginv_entry_hessian(pot, x, step / 2**m) for m in range(levels + 1)]
     for power in range(1, levels + 1):
         factor = 4.0**power
         estimates = [

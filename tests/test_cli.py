@@ -433,6 +433,16 @@ class TestVerify:
         assert lines[1].startswith("Einstein,")
 
 
+@pytest.mark.parametrize("argv", [["curvature"], ["verify", "-a", "0"]])
+def test_indefinite_hessian_is_reported_in_plain_numbers(capsys, tmp_path, argv):
+    # h = -4 x^2 on [0, 1]; the point once printed as (np.float64(0.2505),)
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps(SymplecticPotential(catalog("simplex", 1), Polynomial(1, {(2,): F(-4)})).to_json()))
+    assert run(capsys, *argv, "--input", str(path), "--grid", "5") == (
+        1, "", "error: NotPositiveDefinite: Hessian not positive definite at (0.2505,) (eigenvalue -1.336881e+00)\n"
+    )
+
+
 @pytest.mark.parametrize("doc", [HUGE_B, HUGE_H], ids=["offset", "h_coefficient"])
 def test_values_beyond_float_range(capsys, tmp_path, doc):
     # the exact subcommands never make floats; the float ones refuse them

@@ -194,14 +194,12 @@ class TestBatchedFiniteDifferences:
     def test_batch_repeats_the_point_by_point_arithmetic(self, case):
         pot, pts, step, levels = case
         got = scalar_curvatures_fd(pot, pts, step=step, levels=levels)
-        want = [oracles.fd_curvature(pot, x, step, levels, batched=True) for x in pts]
+        want = [oracles.fd_curvature(pot, x, step, levels) for x in pts]
         assert got.tolist() == want
         assert scalar_curvature_fd(pot, pts[0], step, levels) == want[0]
 
     @pytest.mark.parametrize("levels", [0, 2])
     def test_catalog_values_are_those_of_the_one_point_loop(self, catalog_potential, levels):
-        # Lattice images can differ in the last bit: there a one-row jet
-        # rounds lambda differently from a batch (see oracles.fd_curvature).
         for pot in (catalog_potential, PERTURBED):
             r = sampling.inradius(pot.polytope)
             pts = random_interior_points(pot.polytope, 30, margin=0.2 * r, rng=5)

@@ -1,7 +1,7 @@
 """The batched metric-and-curvature engine: the batch and the one-point
 API against an entry-by-entry reference jet, an exact rational oracle,
-error payloads, chunked memory, and unimodular covariance as a property
-test."""
+error payloads, chunked memory, and two property tests: every one-point
+call is its row of a batch to the last bit, and unimodular covariance."""
 
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torickit import (
+    CATALOG_DEFAULTS,
+    DegenerateSampleSet,
     NotPositiveDefinite,
     OutsideDomain,
     Polynomial,
@@ -22,7 +24,9 @@ from torickit import (
     metric_jets,
     random_interior_points,
     scalar_curvature,
+    scalar_curvature_fd,
     scalar_curvatures,
+    scalar_curvatures_fd,
     soliton_identity_residual,
 )
 from torickit import sampling
@@ -160,11 +164,24 @@ class TestBatchErrors:
         assert got.value.point == one.value.point == (0.45,)
         assert got.value.eigenvalue == one.value.eigenvalue < 0
 
+    def test_an_earlier_indefinite_row_beats_a_later_exterior_one(self):
+        # the chunk fails on the exterior row first; the point-by-point
+        # replay finds the indefinite row before it
+        pot = SymplecticPotential(catalog("simplex", 1), Polynomial(1, {(2,): F(-4)}))
+        with pytest.raises(NotPositiveDefinite) as one:
+            metric_jet(pot, [0.45])
+        with pytest.raises(NotPositiveDefinite) as got:
+            batch(pot, [[0.05], [0.45], [1.5]], "G")
+        assert (got.value.point, got.value.eigenvalue) == (one.value.point, one.value.eigenvalue)
+        assert got.value.point == (0.45,)
+
 
 def test_empty_point_list():
     pot = SymplecticPotential.guillemin(catalog("simplex", 2))
     for points in ([], np.empty((0, 2))):
         assert scalar_curvatures(pot, points).shape == (0,)
+        with pytest.raises(DegenerateSampleSet):
+            soliton_identity_residual(pot, np.array([0.1, 0.2]), points)
 
 
 def test_identity_residual_memory_is_flat():
@@ -179,6 +196,62 @@ def test_identity_residual_memory_is_flat():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# one result per point: a one-point call is its row of any batch, bit for bit
+
+# cond(G) reaches about 1e6 here; a 2-D matmul over the rows rounded lambda
+# by BLAS gemv for one row and gemm for many, and nearly every row differed
+HIRZEBRUCH_IMAGE = SymplecticPotential.guillemin(
+    UnimodularMap(((-5, 12), (-8, 19)), (F(1, 3), F(-2, 5))).apply_polytope(catalog("hirzebruch", 1))
+)
+
+
+@st.composite
+def row_cases(draw):
+    """A catalog potential, a lattice image of one, simplex(1) (two forms,
+    where einsum summed a one-row quadratic form differently) or simplex(2)
+    + x^2 y^2 / 100, and a seed for its points."""
+    kind = draw(st.sampled_from(["catalog", "image", "simplex(1)", "perturbed"]))
+    if kind == "perturbed":
+        pot = perturbed_simplex()
+    elif kind == "simplex(1)":
+        pot = SymplecticPotential.guillemin(catalog("simplex", 1))
+    else:
+        name, params = draw(st.sampled_from(CATALOG_DEFAULTS))
+        p = catalog(name, *params)
+        if kind == "image":
+            p = draw(lattice_maps(p.n)).apply_polytope(p)
+        pot = SymplecticPotential.guillemin(p)
+    return pot, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=20, deadline=None)
+@given(row_cases())
+@example(case=(HIRZEBRUCH_IMAGE, 1))
+@example(case=(SymplecticPotential.guillemin(catalog("simplex", 1)), 1))
+def test_one_point_calls_are_their_batch_rows(case):
+    pot, seed = case
+    p = pot.polytope
+    pts = random_interior_points(p, 257, margin=0.1 * sampling.inradius(p), rng=seed)
+    for deriv, fields in ((False, ["G", "G_inv", "det_G"]), (True, ["G", "G_inv", "det_G", "dG", "d2G"])):
+        jets = [metric_jet(pot, x, with_derivatives=deriv) for x in pts]
+        for count in (1, 256, 257):     # one row, one full chunk, a chunk and one row
+            batches = list(metric_jets(pot, pts[:count], with_derivatives=deriv))
+            for f in fields:
+                got = np.concatenate([getattr(b, f) for b in batches])
+                assert np.array_equal(got, [getattr(j, f) for j in jets[:count]]), (f, count)
+    one = {
+        "s": [scalar_curvature(pot, x) for x in pts],
+        "fd": [scalar_curvature_fd(pot, x) for x in pts],
+        "distance": [float(sampling.interior_distance(p, x)) for x in pts],
+    }
+    for count in (1, 256, 257):
+        rows = pts[:count]
+        assert scalar_curvatures(pot, rows).tolist() == one["s"][:count]
+        assert scalar_curvatures_fd(pot, rows).tolist() == one["fd"][:count]
+        assert sampling.interior_distance(p, rows).tolist() == one["distance"][:count]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from torickit import (
+    DegenerateSampleSet,
     NotPositiveDefinite,
     OutsideDomain,
     ParseError,
@@ -103,6 +104,7 @@ class TestJets:
         with pytest.raises(OutsideDomain) as exc:
             metric_jet(pot, np.array([0.8, 0.8]))
         assert exc.value.form_index == 2
+        assert str(exc.value) == "point (0.8, 0.8) violates form 2 (value -6.000e-01 <= 0)"
         with pytest.raises(OutsideDomain):
             metric_jet(pot, np.array([0.0, 0.5]))  # boundary itself is out
 
@@ -201,6 +203,11 @@ class TestDetFactorization:
         rep = det_factorization_check(pot, interior_grid(p, 10))
         assert rep.max_delta - rep.min_delta > 0.1
 
+    def test_no_points(self):
+        for points in ([], np.empty((0, 2))):
+            with pytest.raises(DegenerateSampleSet):
+                det_factorization_check(cp2_potential(), points)
+
 
 class TestVertexProbes:
     def test_cp2_probe_decays_linearly(self):
@@ -228,9 +235,13 @@ class TestVertexProbes:
         pot = SymplecticPotential.guillemin(q)
         origin = q.vertex_at(tuple(F(0) for _ in range(q.n)))
         ray = interior_rays(origin, 1)[0]
-        rep = cofactor_growth_check(pot, ray, geometric_ts(1e-2, 15))
+        ts = geometric_ts(1e-2, 15)
+        rep = cofactor_growth_check(pot, ray, ts)
         assert rep.passed
         assert rep.final_max <= 1e-6
+        # one batch along the ray gives the products of the one-point jets
+        want = [metric_jet(pot, t * ray).cof * float(np.prod(t * ray)) for t in ts]
+        assert np.array_equal(rep.products, want)
 
     def test_cofactor_check_requires_normalized_form(self):
         # first form of the anticanonical model has offset -1, not 0
@@ -241,6 +252,19 @@ class TestVertexProbes:
                 np.array([1.0, 1.0]),
                 geometric_ts(1e-2, 5),
             )
+
+    @pytest.mark.parametrize(
+        "ts",
+        [[1e-7], [1e-2, 1e-3], [1e-2, 1e-2, 1e-3], [1e-3, 1e-2, 5e-2], [1e-2, 1e-3, 0.0], [1e-2, 1e-3, np.nan],
+         [[1e-2, 1e-3, 1e-4]]],
+    )
+    def test_probes_refuse_a_ladder_that_shows_no_trend(self, ts):
+        # one sample once passed the cofactor check with an empty trend test
+        pot = SymplecticPotential.guillemin(catalog("cube", 2))
+        with pytest.raises(ValueError, match="at least 3 positive, strictly decreasing steps"):
+            cofactor_growth_check(pot, (1, 1), ts)
+        with pytest.raises(ValueError, match="at least 3 positive, strictly decreasing steps"):
+            vertex_vanishing_probe(pot, (F(0), F(0)), (1, 1), ts)
 
 
 class TestSerialization:
