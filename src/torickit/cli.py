@@ -115,8 +115,11 @@ def _report(args, doc: dict, header: list[str], rows) -> None:
     else:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseError(f"cannot write {args.output}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -147,13 +150,16 @@ def cmd_curvature(args) -> int:
         )
     else:
         pts = sampling.interior_grid(pot.polytope, args.grid, args.margin)
-    values = (scalar_curvatures if args.method == "analytic" else scalar_curvatures_fd)(pot, pts)
-    # The affinity test always fits analytic curvature on the grid.
-    if args.random or args.method != "analytic":
-        grid_pts = sampling.interior_grid(pot.polytope, args.grid, args.margin)
-        grid_values = scalar_curvatures(pot, grid_pts)
-    else:
-        grid_pts, grid_values = pts, values
+    with np.errstate(all="ignore"):  # refused below when not finite
+        values = (scalar_curvatures if args.method == "analytic" else scalar_curvatures_fd)(pot, pts)
+        # The affinity test always fits analytic curvature on the grid.
+        if args.random or args.method != "analytic":
+            grid_pts = sampling.interior_grid(pot.polytope, args.grid, args.margin)
+            grid_values = scalar_curvatures(pot, grid_pts)
+        else:
+            grid_pts, grid_values = pts, values
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grid_values))):
+        raise OutOfFloatRange("s is not finite at every sample")
     is_extremal, fit = extremality_from_samples(grid_pts, grid_values, args.tol)
     samples = [list(map(float, x)) + [float(v)] for x, v in zip(pts, values)]
     doc = {"config": config, "samples": samples, "affine_fit": fit.to_json(), "is_extremal": is_extremal}

@@ -62,7 +62,8 @@ def _curvature_rows(pot: SymplecticPotential, b: MetricBatch) -> np.ndarray:
         w = r[:, :, None] * pot.polytope.normals_float
         q = w @ gi @ w.swapaxes(1, 2)
         d = np.diagonal(q, axis1=1, axis2=2)
-        cubic = q**3 + d[:, :, None] * q * d[:, None, :]
+        # no q**3: numpy cubes negative bases, as off-diagonal Q_ab are, on a scalar path ~35x slower
+        cubic = q * (q * q + d[:, :, None] * d[:, None, :])
         # a stacked matmul: einsum sums r^T cubic r differently for one row
         return np.sum(d**2 * r**2, axis=1) - 0.25 * (r[:, None, :] @ cubic @ r[:, :, None])[:, 0, 0]
     a = gi[:, None] @ b.dG @ gi[:, None]        # a[:, k] = G^-1 (d_k G) G^-1

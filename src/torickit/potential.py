@@ -272,7 +272,7 @@ def det_factorization_check(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not pts.size:
         raise DegenerateSampleSet("no sample points to check delta at")
-    deltas = np.array([1.0 / (metric_jet(pot, x).det_G * float(np.prod(pot.polytope.lambdas(x)))) for x in pts])
+    deltas = np.concatenate([1.0 / (b.det_G * np.prod(b.lam, axis=1)) for b in metric_jets(pot, pts)])
     lo, hi = float(deltas.min()), float(deltas.max())
     ratio = hi / lo if lo > 0 else float("inf")
     return DetFactorizationReport(

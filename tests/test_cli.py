@@ -241,6 +241,16 @@ class TestCurvature:
         )
         assert run(capsys, *argv) == (rc, out, err)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_sample_is_refused(self, capsys, fmt):
+        # the finite-difference step's square underflows at x = 1e-300: this
+        # once warned, wrote NaN into the JSON report and exited 0 as extremal
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "curvature", "--catalog", "simplex(1)", "--grid", "3", "--margin", "1e-300",
+                               "--method", "finite-difference", "--format", fmt)
+        assert (rc, out, err, caught) == (2, "", "error: s is not finite at every sample\n", [])
+
     def test_perturbed_potential_file(self, capsys, tmp_path):
         pot = SymplecticPotential(
             catalog("simplex", 1), Polynomial(1, {(3,): F(1, 10)})
@@ -544,6 +554,14 @@ class TestPlumbing:
         assert rc == 0
         assert out == ""
         assert json.loads(path.read_text())["is_delzant"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_output_is_bad_input(self, capsys, tmp_path, fmt):
+        # a missing directory and a directory each once ended in a traceback
+        for target in (tmp_path / "missing" / "report", tmp_path):
+            rc, out, err = run(capsys, "delzant", "--catalog", "simplex(2)", "--format", fmt, "--output", str(target))
+            assert (rc, out) == (2, "")
+            assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
     def test_help_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:

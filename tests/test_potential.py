@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import torickit
 from torickit import (
+    CATALOG_DEFAULTS,
     DegenerateSampleSet,
     NotPositiveDefinite,
     OutsideDomain,
@@ -22,10 +26,13 @@ from torickit import (
     metric_jet,
     normalize_at_vertex,
     potential_from_json,
+    random_interior_points,
     vertex_vanishing_probe,
 )
+from torickit import sampling
 
 import oracles
+from strategies import lattice_maps
 
 F = Fraction
 
@@ -207,6 +214,53 @@ class TestDetFactorization:
         for points in ([], np.empty((0, 2))):
             with pytest.raises(DegenerateSampleSet):
                 det_factorization_check(cp2_potential(), points)
+
+    def test_an_earlier_indefinite_row_beats_a_later_exterior_one(self):
+        # h = -4 x^2 leaves G = 1/(2x(1-x)) - 4 positive only near the ends
+        pot = SymplecticPotential(catalog("simplex", 1), Polynomial(1, {(2,): F(-4)}))
+        with pytest.raises(NotPositiveDefinite) as one:
+            metric_jet(pot, [0.45])
+        with pytest.raises(NotPositiveDefinite) as got:
+            det_factorization_check(pot, [[0.05], [0.45], [1.5]])
+        assert (got.value.point, got.value.eigenvalue) == (one.value.point, one.value.eigenvalue)
+
+    def test_never_takes_the_one_point_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("metric_jet called")
+
+        monkeypatch.setattr(torickit.potential, "metric_jet", refuse)
+        p = catalog("blowup_cp2", 3)
+        rep = det_factorization_check(SymplecticPotential.guillemin(p), interior_grid(p, 30))
+        assert len(rep.deltas) > torickit.potential._CHUNK
+        assert rep.passed
+
+
+@st.composite
+def delta_cases(draw):
+    """A catalog potential, a lattice image of one or simplex(2) + x^2 y^2 / 100,
+    and a seed for its points."""
+    kind = draw(st.sampled_from(["catalog", "image", "perturbed"]))
+    if kind == "perturbed":
+        pot = SymplecticPotential(catalog("simplex", 2), Polynomial(2, {(2, 2): F(1, 100)}))
+    else:
+        name, params = draw(st.sampled_from(CATALOG_DEFAULTS))
+        p = catalog(name, *params)
+        if kind == "image":
+            p = draw(lattice_maps(p.n)).apply_polytope(p)
+        pot = SymplecticPotential.guillemin(p)
+    return pot, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=15, deadline=None)
+@given(delta_cases())
+def test_deltas_are_the_one_point_values(case):
+    # delta comes from one metric_jets pass; each row is the one-point value to the last bit
+    pot, seed = case
+    p = pot.polytope
+    pts = random_interior_points(p, 257, margin=0.1 * sampling.inradius(p), rng=seed)
+    one = [1.0 / (metric_jet(pot, x).det_G * np.prod(p.lambdas(x))) for x in pts]
+    for count in (1, 256, 257):     # one row, one full chunk, a chunk and one row
+        assert det_factorization_check(pot, pts[:count]).deltas.tolist() == one[:count]
 
 
 class TestVertexProbes:
