@@ -42,7 +42,7 @@ import numpy as np
 
 from . import sampling
 from .errors import DegenerateSampleSet
-from .potential import _CHUNK, MetricBatch, SymplecticPotential, metric_jet, metric_jets
+from .potential import _CHUNK, MetricBatch, SymplecticPotential, _vector, metric_jet, metric_jets
 
 FD_STEP_FRACTION = 24.0       # step = interior distance / 24
 FD_MARGIN_FACTOR = 10.0       # require distance >= 10 * step
@@ -187,7 +187,8 @@ def affine_fit(points, values) -> AffineFit:
         centre = pts.mean(axis=0)
         scale = np.max(np.abs(pts - centre), axis=0)
         scale[scale == 0] = 1.0
-        design = np.hstack([np.ones((len(pts), 1)), (pts - centre) / scale])
+        design = np.ones((len(pts), n + 1))
+        np.divide(pts - centre, scale, out=design[:, 1:])
         coef, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
     if rank < n + 1:
         raise DegenerateSampleSet(
@@ -230,7 +231,7 @@ def extremality_from_samples(points, values, tol: float | None = None) -> tuple[
 def soliton_identity_residual(pot: SymplecticPotential, a, points) -> tuple[float, float]:
     """Best constant and residual for s + |grad f|^2 + 2 f over samples,
     where f = <a, x>.  Raises DegenerateSampleSet on an empty set of points."""
-    a = np.asarray(a, dtype=float)
+    a = _vector(a, pot.n)
     vals = np.concatenate(
         [
             _curvature_rows(pot, b) + np.einsum("i,pij,j->p", a, b.G_inv, a) + 2.0 * (b.x @ a)

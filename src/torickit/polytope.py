@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -104,6 +104,13 @@ def _point(row) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, row[-1]) for c in row[:-1])
 
 
+def _keys(rows) -> list[tuple[int, ...]]:
+    """Integer keys that order the points X / D of integer rows (X, D), D > 0,
+    as tuples of Fractions would: each X scaled to the rows' common denominator."""
+    d = lcm(*(row[-1] for row in rows))
+    return [tuple(c * (d // row[-1]) for c in row[:-1]) for row in rows]
+
+
 def _cuts(face, incidences, m):
     """For each of m forms k, the facet of `face` that k cuts out, or None.
     `face` lists vertices and `incidences[i]` the forms tight at vertex i.  A
@@ -190,13 +197,13 @@ def _walk(forms, n):
     if any(not any(column) for column in zip(*slacks.values())):
         span = exact.rank(list(slacks)) - 1  # the rows (X, D) span as (1, X / D) do
         raise LowerDimensional(f"vertices span affine rank {span} < {n}")
-    coords = {v: _point(v) for v in slacks}
-    order = sorted(slacks, key=coords.get)
+    key = dict(zip(slacks, _keys(slacks)))
+    order = sorted(slacks, key=key.get)
     vertices = tuple(
         VertexData(
-            coordinates=coords[v],
+            coordinates=_point(v),
             incident_facets=frozenset(k for k, value in enumerate(slacks[v]) if value == 0),
-            edge_generators=tuple(edges[v][w] for w in sorted(edges[v], key=coords.get)),
+            edge_generators=tuple(edges[v][w] for w in sorted(edges[v], key=key.get)),
         )
         for v in order
     )
@@ -209,6 +216,7 @@ class DelzantPolytope:
     def __init__(self, forms: Sequence[AffineForm], vertices: Sequence[VertexData], n: int):
         self.forms = tuple(forms)
         self.vertices = tuple(vertices)
+        self._incidences = tuple(v.incident_facets for v in self.vertices)
         self.n = int(n)
 
     @classmethod
@@ -249,8 +257,15 @@ class DelzantPolytope:
         return np.linalg.norm(self.normals_float, axis=1)
 
     @cached_property
+    def vertices(self) -> tuple[VertexData, ...]:
+        return _carried_vertices(self, *vars(self).pop("_carried"))   # only a carried polytope gets here
+
+    @cached_property
     def vertex_floats(self) -> np.ndarray:
-        return exact.floats([v.coordinates for v in self.vertices])
+        try:  # int true division rounds X_i / D as float(Fraction(X_i, D)) does
+            return np.array([[c / row[-1] for c in row[:-1]] for row in self.vertex_rows])
+        except OverflowError:  # so the exact route overflows too, and names it
+            return exact.floats([_point(row) for row in self.vertex_rows])
 
     @cached_property
     def vertex_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -282,7 +297,7 @@ class DelzantPolytope:
         return {"n": self.n, "forms": [f.to_json() for f in self.forms]}
 
     def __repr__(self):
-        return f"DelzantPolytope(n={self.n}, facets={self.num_forms}, vertices={len(self.vertices)})"
+        return f"DelzantPolytope(n={self.n}, facets={self.num_forms}, vertices={len(self.vertex_rows)})"
 
 
 @dataclass(frozen=True)
@@ -410,10 +425,7 @@ class UnimodularMap:
         for *x, d in p.vertex_rows:
             s = [e * c - d * t for c, t in zip(x, shift)]
             rows.append(_lowest([*(sum(map(mul, row, s)) for row in self.matrix), d * e]))
-        return _carry(
-            p, mapped, order, rows,
-            lambda g: tuple(sum(map(mul, row, g)) for row in self.matrix),
-        )
+        return _carry(p, mapped, order, rows, self.matrix)
 
     def inverse(self) -> "UnimodularMap":
         a_inv = self.matrix_inverse
@@ -466,36 +478,39 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
     return trans, trans._image(p, mapped, order)
 
 
-def _carry(p: DelzantPolytope, mapped, order, rows, generator) -> DelzantPolytope:
+def _carry(p: DelzantPolytope, mapped, order, rows, matrix) -> DelzantPolytope:
     """A polytope with p's combinatorics, built without a vertex walk.
 
     `mapped` holds the images of p's forms, listed in `order` (new index to
     old); `rows[i]` is the image of p's i-th vertex as an integer row (X, D)
-    in lowest terms, and `generator(g)` that of an edge generator g.  The
-    facets of v orthogonal to g are those of the edge, so its two ends meet
-    under one key.  Vertices and edges are sorted by image coordinates again;
-    the span rank is p's."""
+    in lowest terms, and `matrix` A sends an edge generator g to A g (None
+    keeps g).  The image keeps its vertex rows sorted by `_keys`, its
+    incidences and p's span rank; `vertices` are built on first read."""
     where = {k: i for i, k in enumerate(order)}
-    ends = {}
+    ranked = sorted(range(len(rows)), key=_keys(rows).__getitem__)
+    q = DelzantPolytope.__new__(DelzantPolytope)
+    vars(q).update(forms=tuple(mapped[k] for k in order), n=p.n, vertex_rows=tuple(rows[i] for i in ranked),
+                   _incidences=tuple(frozenset(where[k] for k in p._incidences[i]) for i in ranked),
+                   affine_span_rank=p.affine_span_rank, _carried=(p, ranked, matrix))
+    return q
+
+
+def _carried_vertices(q: DelzantPolytope, p: DelzantPolytope, ranked, matrix) -> tuple[VertexData, ...]:
+    """The vertex data of q = `_carry`(p, ...), q's vertex r being p's vertex
+    ranked[r].  The facets of v orthogonal to g are those of the edge, so its
+    two ends meet under one key; each vertex lists its edges by neighbour."""
+    ends, rank = {}, {i: r for r, i in enumerate(ranked)}
     for i, v in enumerate(p.vertices):
         for g in v.edge_generators:
             edge = frozenset(k for k in v.incident_facets if not sum(map(mul, p.forms[k].u, g)))
-            ends.setdefault(edge, []).append((i, generator(g)))
-    coords = [_point(row) for row in rows]
-    ranked = sorted(range(len(coords)), key=coords.__getitem__)
-    rank = {i: r for r, i in enumerate(ranked)}
-    edges = [[] for _ in coords]
+            image = g if matrix is None else tuple(sum(map(mul, row, g)) for row in matrix)
+            ends.setdefault(edge, []).append((rank[i], image))
+    edges = [[] for _ in ranked]
     for (i, g), (j, h) in ends.values():
-        edges[i].append((rank[j], g))
-        edges[j].append((rank[i], h))
-    vertices = [
-        VertexData(coords[i], frozenset(where[k] for k in p.vertices[i].incident_facets),
-                   tuple(g for _, g in sorted(edges[i])))
-        for i in ranked
-    ]
-    q = DelzantPolytope([mapped[k] for k in order], vertices, p.n)
-    q.__dict__.update(vertex_rows=tuple(rows[i] for i in ranked), affine_span_rank=p.affine_span_rank)
-    return q
+        edges[i].append((j, g))
+        edges[j].append((i, h))
+    return tuple(VertexData(_point(row), facets, tuple(g for _, g in sorted(e)))
+                 for row, facets, e in zip(q.vertex_rows, q._incidences, edges))
 
 
 # ---------------------------------------------------------------------------

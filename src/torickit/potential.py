@@ -45,6 +45,14 @@ from .polytope import DelzantPolytope, _orthant, polytope_from_json
 _CHUNK = 256
 
 
+def _vector(a, n: int) -> np.ndarray:
+    """a as a float vector; ValueError, naming both lengths, unless it has n entries."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (n,):
+        raise ValueError(f"a expects {n} components for this polytope, got {a.size if a.ndim == 1 else a.shape}")
+    return a
+
+
 class SymplecticPotential:
     """Canonical potential of a polytope plus a polynomial perturbation."""
 

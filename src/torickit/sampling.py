@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -63,11 +64,18 @@ def interior_grid(p: DelzantPolytope, per_axis: int, margin: float | None = None
     every facet is at least `margin` (default 1e-3 * diameter)."""
     if per_axis < 3:
         raise ValueError("grid resolution must be at least 3 per axis")
-    if margin is None:
-        margin = default_margin(p)
-    lo, hi = bounding_box(p)
-    axes = np.linspace(lo + margin, hi - margin, per_axis)
-    pts = np.stack(np.meshgrid(*axes.T, indexing="ij"), -1).reshape(-1, p.n)
+    margin = default_margin(p) if margin is None else margin
+    if not 0 < margin < np.inf:
+        raise BadMargin(f"margin {margin} is not positive and finite")
+    # np.linspace(lo + margin, hi - margin, per_axis) in its own arithmetic
+    (lo, hi), y = bounding_box(p), np.arange(operator.index(per_axis), dtype=float)[:, None]
+    start, stop = lo + margin, hi - margin
+    step = (stop - start) / (per_axis - 1)
+    axes = (y * step if step.all() else y / (per_axis - 1) * (stop - start)) + start
+    axes[-1] = stop
+    # meshgrid's "ij" order: axis j's values each repeat per_axis^(n-1-j) times, their run per_axis^j times
+    runs = (axes[:, j].repeat(per_axis ** (p.n - 1 - j))[None].repeat(per_axis**j, 0) for j in range(p.n))
+    pts = np.stack([run.ravel() for run in runs], -1)
     keep = interior_distance(p, pts) >= margin
     pts = pts[keep]
     if not len(pts):
@@ -84,8 +92,9 @@ def random_interior_points(
     """Rejection-sampled uniform interior points with a distance margin."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    if margin is None:
-        margin = default_margin(p)
+    margin = default_margin(p) if margin is None else margin
+    if not 0 < margin < np.inf:
+        raise BadMargin(f"margin {margin} is not positive and finite")
     radius = inradius(p)
     if margin >= radius:
         raise BadMargin(f"margin {margin} is not below the inradius {radius:.6g}")

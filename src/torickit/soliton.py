@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from math import ceil, factorial, hypot, inf, isfinite, lcm, log2, prod
+from functools import cache, cached_property
+from math import ceil, factorial, hypot, inf, isfinite, lcm, log2, prod, sqrt
 from operator import mul
 
 import numpy as np
@@ -28,8 +28,8 @@ import numpy as np
 from . import exact, sampling
 from .curvature import AffineFit, affine_fit
 from .errors import MaxIterations, NotFano, OutOfFloatRange, QuadratureNotConverged
-from .polytope import AffineForm, DelzantPolytope, _carry, _cuts
-from .potential import SymplecticPotential, metric_jets
+from .polytope import AffineForm, DelzantPolytope, _carry, _cuts, _keys
+from .potential import SymplecticPotential, _vector, metric_jets
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -42,14 +42,14 @@ def _simplices(p: DelzantPolytope):
     """Pulling triangulation of p as tuples of vertex indices, kept on p.
 
     Each face, the vertices listed in `vidx`, is coned from its
-    lexicographically smallest vertex over the distinct facets that miss
-    it, in form order, recursively.  The facets of a face are those its
-    forms cut out, decided from the incidences alone (`_cuts`).
+    lexicographically smallest vertex (`_keys` order) over the distinct
+    facets that miss it, in form order, recursively.  The facets of a face
+    are those its forms cut out, decided from the incidences alone (`_cuts`).
     """
     if "_simplices" in vars(p):
         return vars(p)["_simplices"]
-    incidences = [v.incident_facets for v in p.vertices]
-    lex = sorted(range(len(incidences)), key=lambda i: p.vertices[i].coordinates)
+    incidences, keys = p._incidences, _keys(p.vertex_rows)
+    lex = sorted(range(len(incidences)), key=keys.__getitem__)
     place = {i: r for r, i in enumerate(lex)}
 
     def face(vidx, dim):
@@ -83,6 +83,17 @@ def exact_volume(p: DelzantPolytope) -> Fraction:
 # ---------------------------------------------------------------------------
 # exponential moments in closed form
 
+@cache
+def _taylor_plan(m: int):
+    """For m nodes: Z's edge slots (flat: sources to c_0, the chain, c_n to
+    sinks), the weights 1/k! in Paterson-Stockmeyer blocks and the identity.
+    Every call shares them, so nothing writes to them."""
+    size, chain = 3 * m, np.arange(m, 2 * m - 1)
+    edges = np.concatenate([np.arange(m) * size + m, chain * (size + 1) + 1, (2 * m - 1) * size + np.arange(2 * m, size)])
+    weights = np.cumprod(1.0 / np.maximum(np.arange(5 * -(-(m + 19) // 5)), 1)).reshape(-1, 5)
+    return edges, weights, np.eye(size)
+
+
 def _exp_divided_differences(t: np.ndarray) -> np.ndarray:
     """exp[t_k, t_0, ..., t_n, t_l] for every row t of `t` and all k, l.
 
@@ -103,20 +114,17 @@ def _exp_divided_differences(t: np.ndarray) -> np.ndarray:
     # path of m + 2 nodes is then below 1/18!, about one rounding unit
     squarings = ceil(log2(spread)) if 1.0 < spread < inf else 0
     h = 2.0**-squarings
-    size = 3 * m
+    size, (edges, weights, identity) = 3 * m, _taylor_plan(m)
     z = np.zeros((rows, size * size))
     z[:, :: size + 1] = np.tile((t - low[:, None]) * h, 3)
+    z[:, edges] = h
     z = z.reshape(rows, size, size)
-    chain = np.arange(m, 2 * m - 1)
-    z[:, :m, m] = z[:, chain, chain + 1] = z[:, 2 * m - 1, 2 * m :] = h
     # Taylor sum to degree >= m + 18, Paterson-Stockmeyer: blocks in z^0..z^4, Horner in z^5
     powers = np.empty((6, rows, size, size))
-    powers[0], powers[1] = np.eye(size), z
+    powers[0], powers[1] = identity, z
     for i in range(2, 6):
         np.matmul(powers[i - 1], z, out=powers[i])
-    count = 5 * -(-(m + 19) // 5)
-    inverse_factorials = np.cumprod(1.0 / np.maximum(np.arange(count), 1)).reshape(-1, 5)
-    blocks = (inverse_factorials @ powers[:5].reshape(5, -1)).reshape(-1, rows, size, size)
+    blocks = (weights @ powers[:5].reshape(5, -1)).reshape(-1, rows, size, size)
     e = blocks[-1]
     for block in blocks[-2::-1]:
         e = block + powers[5] @ e
@@ -147,7 +155,8 @@ class FanoPolytope:
     def _cells(self):
         """Float triangulation for _moments: per simplex, the rows h_k = (1, v_k)
         and the weights n! vol (1 + [k = l])."""
-        h = np.insert(self.base.vertex_floats[np.array(_simplices(self.base))], 0, 1.0, axis=2)
+        v = self.base.vertex_floats[np.array(_simplices(self.base))]
+        h = np.concatenate([np.ones(v.shape[:2] + (1,)), v], axis=2)
         return h, np.abs(np.linalg.det(h))[:, None, None] * (1 + np.eye(self.n + 1))
 
     def to_json(self) -> dict:
@@ -202,7 +211,7 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
                 )
         model.append((*w, 1))
     forms = [AffineForm(u=u, b=Fraction(-1)) for u in normals]
-    return FanoPolytope(_carry(p, forms, range(len(forms)), model, lambda g: g))
+    return FanoPolytope(_carry(p, forms, range(len(forms)), model, None))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +251,7 @@ def polytope_integral(fp: FanoPolytope, a, integrand: str = "1"):
     overflows double precision raises QuadratureNotConverged.  Arrays are
     returned as copies, so changing one leaves the moments kept on fp.
     """
-    a = np.zeros(fp.n) if a is None else np.asarray(a, dtype=float)
+    a = np.zeros(fp.n) if a is None else _vector(a, fp.n)
     order = {"1": 0, "x": 1, "xx": 2}.get(integrand)
     if order is None:
         raise ValueError(f"unknown integrand {integrand!r}")
@@ -277,7 +286,7 @@ def soliton_vector(
     a = np.zeros(fp.n)
     _, grad, hess = _moments(fp, a)
     for iteration in range(max_iterations):
-        residual = float(np.linalg.norm(grad))
+        residual = sqrt(grad @ grad)  # as np.linalg.norm computes it, without its overhead
         if residual <= tol:
             return SolitonData(a=a, gradient_residual=residual, iterations=iteration)
         direction = np.linalg.solve(hess, -grad)
@@ -285,12 +294,12 @@ def soliton_vector(
         while True:
             trial = a + step * direction
             _, trial_grad, trial_hess = _moments(fp, trial)
-            if np.linalg.norm(trial_grad) <= (1.0 - 1e-4 * step) * residual or step <= 1e-14:
+            if sqrt(trial_grad @ trial_grad) <= (1.0 - 1e-4 * step) * residual or step <= 1e-14:
                 break
             step *= 0.5
         a, grad, hess = trial, trial_grad, trial_hess
     raise MaxIterations(
-        f"Newton solver stalled at residual {float(np.linalg.norm(grad)):.3e} "
+        f"Newton solver stalled at residual {sqrt(grad @ grad):.3e} "
         f"after {max_iterations} iterations"
     )
 
@@ -343,8 +352,8 @@ def einstein_verdict_from_samples(
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise OutOfFloatRange("q is not finite at every sample")
-    spread = float(vals.max() - vals.min()) if len(vals) else 0.0
-    scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    low, high = (float(vals.min()), float(vals.max())) if len(vals) else (0.0, 0.0)
+    spread, scale = high - low, abs(max(high, -low))    # scale = max |q|
     if affinity_tol is None:
         # floor keeps exactly-constant data from tripping on lstsq noise
         affinity_tol = max(1e-6 * spread, 1e-12 * max(1.0, scale))
@@ -356,7 +365,8 @@ def einstein_verdict_from_samples(
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
         vertex_values = polytope.vertex_floats @ fit.gradient + fit.constant
-    vertex_ok = bool(np.max(np.abs(vertex_values)) <= vertex_tol)
+    vertex_worst = float(np.max(np.abs(vertex_values)))
+    vertex_ok = vertex_worst <= vertex_tol
 
     rank = polytope.affine_span_rank
     rank_ok = rank == polytope.n
@@ -380,7 +390,7 @@ def einstein_verdict_from_samples(
             "passed": bool(affine_ok),
         },
         "vertex_vanishing": {
-            "max_abs_value": float(np.max(np.abs(vertex_values))),
+            "max_abs_value": vertex_worst,
             "tolerance": vertex_tol,
             "passed": vertex_ok,
         },
@@ -419,7 +429,7 @@ def verify_einstein(
     q is evaluated over the grid in batches; a point where the metric
     fails raises as `metric_jet` would there, for the first such point.
     """
-    a = np.asarray(a, dtype=float)
+    a = _vector(a, pot.n)
     pts = sampling.interior_grid(pot.polytope, grid, margin)
     values = np.concatenate([np.einsum("i,pij,j->p", a, b.G_inv, a) for b in metric_jets(pot, pts)])
     return einstein_verdict_from_samples(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from torickit import (
     NotFano,
     ParseError,
     RedundantForm,
+    SymplecticPotential,
     ToricError,
     Unbounded,
     UnimodularMap,
@@ -35,6 +37,10 @@ from torickit import (
     fano_normalize,
     normalize_at_vertex,
     polytope_from_json,
+    polytope_integral,
+    soliton_vector,
+    triangulate,
+    verify_einstein,
     vertices_affinely_span,
 )
 
@@ -388,6 +394,66 @@ class TestTransport:
         assert r.forms == want.forms
         assert vertex_fields(r) == vertex_fields(want)
         assert r.affine_span_rank == want.affine_span_rank
+
+
+def lazily_built(q):
+    """Check that the carried polytope q has not built its vertex data, then
+    read the triangulation and the float vertices, which must not build them
+    either; then build them, and check that the two read the same after."""
+    assert "vertices" not in vars(q)
+    simplices, floats = torickit.soliton._simplices(q), q.vertex_floats.copy()
+    assert "vertices" not in vars(q)
+    simplices_after = torickit.soliton._simplices(DelzantPolytope(q.forms, q.vertices, q.n))
+    assert simplices_after == simplices
+    assert np.array_equal(exact.floats([v.coordinates for v in q.vertices]), floats)
+    assert q._incidences == tuple(v.incident_facets for v in q.vertices)
+
+
+class TestLazyCarry:
+    """Lattice images and Fano models keep integer vertex rows, incidences
+    and the span rank, and build their `vertices` on first read; what they
+    build must be what a fresh walk over their forms gives."""
+
+    @staticmethod
+    def check(q):
+        want = DelzantPolytope.from_forms(q.forms, q.n)
+        lazily_built(q)
+        assert vertex_fields(q) == vertex_fields(want)   # coordinates, incidences, edge order
+        assert q.vertex_rows == want.vertex_rows
+        assert q._incidences == want._incidences
+        assert triangulate(q) == triangulate(want)
+        assert np.array_equal(q.vertex_floats, want.vertex_floats)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CATALOG_DEFAULTS), st.data())
+    def test_catalog_images_and_their_models(self, entry, data):
+        p = catalog(entry[0], *entry[1])
+        q = data.draw(lattice_maps(p.n)).apply_polytope(p)
+        self.check(q)
+        self.check(fano_normalize(q).base)
+
+    @pytest.mark.parametrize("entry", CATALOG_DEFAULTS, ids=lambda e: f"{e[0]}{e[1]}")
+    def test_every_catalog_model(self, entry):
+        self.check(fano_normalize(catalog(entry[0], *entry[1])).base)
+
+    def test_normalized_polytopes(self, catalog_polytope):
+        for v in catalog_polytope.vertices:
+            self.check(normalize_at_vertex(catalog_polytope, v)[1])
+
+    def test_an_unbuilt_image_pickles(self):
+        p = catalog("blowup_cp2", 2)
+        for q in (UnimodularMap(((1, 1), (0, 1)), (F(1, 2), 0)).apply_polytope(p), fano_normalize(p).base):
+            copy = pickle.loads(pickle.dumps(q))
+            assert "vertices" not in vars(copy)
+            assert vertex_fields(copy) == vertex_fields(q)
+
+    def test_a_verdict_builds_no_model_vertices(self):
+        for entry in CATALOG_DEFAULTS:
+            fp = fano_normalize(catalog(entry[0], *entry[1]))
+            a = soliton_vector(fp).a
+            polytope_integral(fp, a, "xx")
+            verify_einstein(SymplecticPotential.guillemin(fp.base), a, grid=6)
+            assert "vertices" not in vars(fp.base), entry
 
 
 def integer_rows(p):

@@ -1,11 +1,15 @@
 """Interior grids, random points, rays, and distance bookkeeping."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torickit import (
+    CATALOG_DEFAULTS,
     AffineForm,
     BadMargin,
     DelzantPolytope,
@@ -19,6 +23,8 @@ from torickit import (
     ray_points,
 )
 from torickit import sampling
+
+from strategies import lattice_maps
 
 F = Fraction
 
@@ -52,6 +58,8 @@ def test_grid_resolution_floor():
         interior_grid(p, 2)
     with pytest.raises(ValueError):
         interior_grid(p, 10, margin=10.0)  # margin swallows the polytope
+    with pytest.raises(TypeError):
+        interior_grid(p, 4.0)  # a count, as np.linspace took it
 
 
 def test_random_points_deterministic_and_interior(catalog_polytope):
@@ -148,3 +156,59 @@ def test_default_margin_scales_with_diameter():
     assert sampling.default_margin(big) == pytest.approx(
         100 * sampling.default_margin(small)
     )
+
+
+@pytest.mark.parametrize("margin", [-0.5, 0, 0.0, -0.0, float("nan"), float("inf"), -float("inf")])
+def test_samplers_refuse_a_margin_that_is_not_positive_and_finite(margin):
+    # a negative margin once kept grid points outside the polytope, 0 kept
+    # points on its boundary, and nan spun 10,000 batches before refusing
+    p = catalog("simplex", 2)
+    start = time.perf_counter()
+    with pytest.raises(BadMargin, match="not positive and finite"):
+        interior_grid(p, 5, margin=margin)
+    with pytest.raises(BadMargin, match="not positive and finite"):
+        random_interior_points(p, 5, margin=margin)
+    assert time.perf_counter() - start < 0.1
+
+
+def meshgrid_interior_grid(p, per_axis, margin):
+    """`interior_grid` as np.linspace and np.meshgrid built it: the reference."""
+    lo, hi = sampling.bounding_box(p)
+    axes = np.linspace(lo + margin, hi - margin, per_axis)
+    pts = np.stack(np.meshgrid(*axes.T, indexing="ij"), -1).reshape(-1, p.n)
+    return pts[interior_distance(p, pts) >= margin]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CATALOG_DEFAULTS), st.integers(3, 9), st.floats(1e-6, 0.3), st.data())
+def test_grid_is_the_linspace_meshgrid_grid(entry, per_axis, fraction, data):
+    base = catalog(entry[0], *entry[1])
+    p = data.draw(lattice_maps(base.n)).apply_polytope(base)
+    margin = fraction * sampling.inradius(p)
+    want = meshgrid_interior_grid(p, per_axis, margin)
+    if not len(want):   # a coarse grid over a sheared image can miss the interior
+        with pytest.raises(BadMargin, match="leaves no interior grid points"):
+            interior_grid(p, per_axis, margin)
+        return
+    got = interior_grid(p, per_axis, margin)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous
+
+
+def test_grid_is_the_linspace_meshgrid_grid_with_the_default_margin(catalog_polytope):
+    p = catalog_polytope
+    for per_axis in (3, 4, 9):
+        want = meshgrid_interior_grid(p, per_axis, sampling.default_margin(p))
+        assert interior_grid(p, per_axis).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p, margin", [(catalog("cube", 2), 0.5), (catalog("cube", 1, F(3, 10**310)), 3e-310 / 2)],
+                         ids=["zero width", "subnormal width"])
+def test_grid_is_the_linspace_meshgrid_grid_where_a_step_is_zero(p, margin):
+    # linspace divides by the point count before it multiplies by the width
+    # when width / count is 0; at 3e-310 / 2 the width is 5e-324, and not 0
+    lo, hi = sampling.bounding_box(p)
+    assert np.all(((hi - margin) - (lo + margin)) / 4 == 0)
+    for per_axis in (3, 5):
+        want = meshgrid_interior_grid(p, per_axis, margin)
+        assert interior_grid(p, per_axis, margin).tobytes() == want.tobytes()

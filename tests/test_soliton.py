@@ -7,6 +7,7 @@ package's own quadrature or Newton path shows up as a failure.
 
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import CAPPED_PYRAMID, OCTAHEDRAL_PRISM, OCTAHEDRON, SQUARE_PYRAMID, halfspace_systems, lattice_maps, polytopes
+import torickit.curvature
 import torickit.potential
+import torickit.sampling
 import torickit.soliton
 from torickit import exact
 from torickit import (
@@ -43,6 +46,7 @@ from torickit import (
     interior_rays,
     metric_jet,
     polytope_integral,
+    soliton_identity_residual,
     soliton_vector,
     triangulate,
     verify_einstein,
@@ -587,6 +591,27 @@ def test_soliton_vector_is_covariant(entry, lattice_map):
     got = soliton_vector(fano_normalize(um.apply_polytope(p))).a
     want = np.array(um.matrix_inverse, dtype=float).T @ a
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "a, got", [([1.0, 0.0, 0.0], "3"), ([0.5], "1"), ([], "0"), ([[1.0, 0.0]], "(1, 2)")], ids=["3", "1", "0", "1x2"]
+)
+def test_a_vector_of_the_wrong_length_is_refused_first(monkeypatch, a, got):
+    """verify_einstein, soliton_identity_residual and polytope_integral take a
+    vector of the polytope's dimension; another raises ValueError naming both
+    lengths before any grid, metric or moment is computed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the length check")
+
+    for module, name in ((torickit.soliton, "metric_jets"), (torickit.soliton, "_moments"),
+                         (torickit.curvature, "metric_jets"), (torickit.sampling, "interior_grid")):
+        monkeypatch.setattr(module, name, refuse)
+    pot = SymplecticPotential(catalog("cube", 2))
+    for call in (lambda: verify_einstein(pot, a),
+                 lambda: soliton_identity_residual(pot, a, [[0.5, 0.5]]),
+                 lambda: polytope_integral(FanoPolytope(pot.polytope), a, "x")):
+        with pytest.raises(ValueError, match=rf"^a expects 2 components for this polytope, got {re.escape(got)}$"):
+            call()
 
 
 class TestVerdicts:
