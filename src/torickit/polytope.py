@@ -91,7 +91,13 @@ def enumerate_vertices(forms: Sequence[AffineForm], n: int) -> tuple[VertexData,
     satisfies every form, LowerDimensional when some form is tight at every
     vertex, so that they lie in its hyperplane.
     """
-    return _walk(forms, n)[0]
+    return _vertex_data(*_walk(forms, n))
+
+
+def _vertex_data(rows, incidences, edges) -> tuple[VertexData, ...]:
+    """The `VertexData` of a vertex record (see `DelzantPolytope`)."""
+    return tuple(VertexData(_point(row), facets, tuple(g for _, g in out))
+                 for row, facets, out in zip(rows, incidences, edges))
 
 
 def _lowest(h) -> tuple[int, ...]:
@@ -122,8 +128,8 @@ def _cuts(face, incidences, m):
 
 
 def _walk(forms, n):
-    """`enumerate_vertices`, with the vertices also as the integer rows (X, D)
-    of their points X / D, in lowest terms with D > 0."""
+    """`enumerate_vertices` as a vertex record: the rows (X, D) sorted by
+    `_keys`, the forms tight at each and its edges (see `DelzantPolytope`)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     for f in forms:
@@ -197,27 +203,24 @@ def _walk(forms, n):
     if any(not any(column) for column in zip(*slacks.values())):
         span = exact.rank(list(slacks)) - 1  # the rows (X, D) span as (1, X / D) do
         raise LowerDimensional(f"vertices span affine rank {span} < {n}")
-    key = dict(zip(slacks, _keys(slacks)))
-    order = sorted(slacks, key=key.get)
-    vertices = tuple(
-        VertexData(
-            coordinates=_point(v),
-            incident_facets=frozenset(k for k, value in enumerate(slacks[v]) if value == 0),
-            edge_generators=tuple(edges[v][w] for w in sorted(edges[v], key=key.get)),
-        )
-        for v in order
-    )
-    return vertices, tuple(order)
+    order = [v for _, v in sorted(zip(_keys(slacks), slacks))]
+    index = {v: i for i, v in enumerate(order)}
+    return (tuple(order), tuple(frozenset(k for k, value in enumerate(slacks[v]) if value == 0) for v in order),
+            tuple(tuple(sorted((index[w], y) for w, y in edges[v].items())) for v in order))
 
 
 class DelzantPolytope:
-    """Half-space presentation together with its exact vertex data."""
+    """Half-space presentation together with its exact vertex record.
 
-    def __init__(self, forms: Sequence[AffineForm], vertices: Sequence[VertexData], n: int):
-        self.forms = tuple(forms)
-        self.vertices = tuple(vertices)
-        self._incidences = tuple(v.incident_facets for v in self.vertices)
-        self.n = int(n)
+    Only `from_forms` (the vertex walk) and `_carry` (an exact image of
+    another polytope) build one.  The record: `vertex_rows`, each vertex as
+    the integer row (X, D) of its point X / D, in lowest terms with D > 0,
+    sorted by `_keys`; `_incidences`, the forms tight at each vertex;
+    `_edges`, for each vertex the pairs (neighbour index, primitive edge
+    generator) in neighbour order; and `affine_span_rank`, n, as the walk
+    refuses a lower-dimensional polytope and an exact image keeps its
+    dimension.  `vertices` are built from it on first read.
+    """
 
     @classmethod
     def from_forms(cls, forms: Sequence[AffineForm], n: int | None = None) -> "DelzantPolytope":
@@ -230,15 +233,13 @@ class DelzantPolytope:
         for k, f in enumerate(forms):
             if first.setdefault(f, k) != k:
                 raise RedundantForm(f"form {k} ({f.u}) repeats form {first[f]}")
-        vertices, rows = _walk(forms, n)
+        rows, incidences, edges = _walk(forms, n)
         # every form must cut out a facet; the walk found the vertices to span
-        cuts = _cuts(range(len(vertices)), [v.incident_facets for v in vertices], len(forms))
+        cuts = _cuts(range(len(rows)), incidences, len(forms))
         if None in cuts:
             k = cuts.index(None)
             raise RedundantForm(f"form {k} ({forms[k].u}) is not a facet")
-        p = cls(forms, vertices, n)
-        p.__dict__.update(vertex_rows=rows, affine_span_rank=n)  # for the cached properties
-        return p
+        return _record(forms, n, rows, incidences, edges)
 
     @property
     def num_forms(self) -> int:
@@ -258,7 +259,7 @@ class DelzantPolytope:
 
     @cached_property
     def vertices(self) -> tuple[VertexData, ...]:
-        return _carried_vertices(self, *vars(self).pop("_carried"))   # only a carried polytope gets here
+        return _vertex_data(self.vertex_rows, self._incidences, self._edges)
 
     @cached_property
     def vertex_floats(self) -> np.ndarray:
@@ -266,18 +267,6 @@ class DelzantPolytope:
             return np.array([[c / row[-1] for c in row[:-1]] for row in self.vertex_rows])
         except OverflowError:  # so the exact route overflows too, and names it
             return exact.floats([_point(row) for row in self.vertex_rows])
-
-    @cached_property
-    def vertex_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex as the integer row (X, D) of its point X / D, in lowest
-        terms with D > 0; the exact consumers read these, not the coordinates."""
-        rows = (exact._integer_rows([v.coordinates]) for v in self.vertices)
-        return tuple((*x, d) for (x,), d in rows)
-
-    @cached_property
-    def affine_span_rank(self) -> int:
-        """Exact dimension of the affine span of the vertices."""
-        return exact.rank(self.vertex_rows) - 1 if self.vertices else 0
 
     def lambdas(self, x: np.ndarray) -> np.ndarray:
         """Float values of every defining form at x (points in rows ok)."""
@@ -389,20 +378,28 @@ class UnimodularMap:
             self, "translation", tuple(exact.frac(c) for c in self.translation)
         )
 
+    def _dimension(self, n: int, what: str) -> None:
+        if n != len(self.matrix):
+            raise ValueError(f"a {what} of dimension {n} under a map of dimension {len(self.matrix)}")
+
     def apply_point(self, x):
+        self._dimension(len(x), "point")
         shifted = [exact.frac(c) - t for c, t in zip(x, self.translation)]
         return tuple(
             sum(a * s for a, s in zip(row, shifted)) for row in self.matrix
         )
 
     def apply_point_float(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        self._dimension(np.atleast_1d(x).shape[-1], "point")
         a = np.array(self.matrix, dtype=float)
         t = exact.floats(self.translation)
-        return (np.asarray(x, dtype=float) - t) @ a.T
+        return (x - t) @ a.T
 
     def apply_form(self, form: AffineForm) -> AffineForm:
         # lambda'(x') = lambda(x) forces u' = A^{-T} u, b' = b - <u, t>:
         # with b = p / q and t = T / E, b' = (E p - q <u, T>) / (q E).
+        self._dimension(len(form.u), "form")
         ainv = self.matrix_inverse
         u_new = tuple(
             sum(ainv[i][j] * form.u[i] for i in range(len(form.u)))
@@ -413,6 +410,7 @@ class UnimodularMap:
         return AffineForm(u=u_new, b=Fraction(e * p - q * sum(map(mul, form.u, shift)), q * e))
 
     def apply_polytope(self, p: DelzantPolytope) -> DelzantPolytope:
+        self._dimension(p.n, "polytope")
         return self._image(p, [self.apply_form(f) for f in p.forms], range(p.num_forms))
 
     def _image(self, p: DelzantPolytope, mapped, order) -> DelzantPolytope:
@@ -478,39 +476,28 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
     return trans, trans._image(p, mapped, order)
 
 
+def _record(forms, n, rows, incidences, edges) -> DelzantPolytope:
+    p = DelzantPolytope.__new__(DelzantPolytope)
+    vars(p).update(forms=tuple(forms), n=n, vertex_rows=rows, _incidences=incidences, _edges=edges,
+                   affine_span_rank=n)
+    return p
+
+
 def _carry(p: DelzantPolytope, mapped, order, rows, matrix) -> DelzantPolytope:
     """A polytope with p's combinatorics, built without a vertex walk.
 
     `mapped` holds the images of p's forms, listed in `order` (new index to
     old); `rows[i]` is the image of p's i-th vertex as an integer row (X, D)
     in lowest terms, and `matrix` A sends an edge generator g to A g (None
-    keeps g).  The image keeps its vertex rows sorted by `_keys`, its
-    incidences and p's span rank; `vertices` are built on first read."""
+    keeps g).  The image's vertices are renumbered in `_keys` order, and
+    its incidences and edges with them."""
     where = {k: i for i, k in enumerate(order)}
     ranked = sorted(range(len(rows)), key=_keys(rows).__getitem__)
-    q = DelzantPolytope.__new__(DelzantPolytope)
-    vars(q).update(forms=tuple(mapped[k] for k in order), n=p.n, vertex_rows=tuple(rows[i] for i in ranked),
-                   _incidences=tuple(frozenset(where[k] for k in p._incidences[i]) for i in ranked),
-                   affine_span_rank=p.affine_span_rank, _carried=(p, ranked, matrix))
-    return q
-
-
-def _carried_vertices(q: DelzantPolytope, p: DelzantPolytope, ranked, matrix) -> tuple[VertexData, ...]:
-    """The vertex data of q = `_carry`(p, ...), q's vertex r being p's vertex
-    ranked[r].  The facets of v orthogonal to g are those of the edge, so its
-    two ends meet under one key; each vertex lists its edges by neighbour."""
-    ends, rank = {}, {i: r for r, i in enumerate(ranked)}
-    for i, v in enumerate(p.vertices):
-        for g in v.edge_generators:
-            edge = frozenset(k for k in v.incident_facets if not sum(map(mul, p.forms[k].u, g)))
-            image = g if matrix is None else tuple(sum(map(mul, row, g)) for row in matrix)
-            ends.setdefault(edge, []).append((rank[i], image))
-    edges = [[] for _ in ranked]
-    for (i, g), (j, h) in ends.values():
-        edges[i].append((j, g))
-        edges[j].append((i, h))
-    return tuple(VertexData(_point(row), facets, tuple(g for _, g in sorted(e)))
-                 for row, facets, e in zip(q.vertex_rows, q._incidences, edges))
+    rank = {i: r for r, i in enumerate(ranked)}
+    edges = tuple(tuple(sorted((rank[j], g if matrix is None else tuple(sum(map(mul, row, g)) for row in matrix))
+                               for j, g in p._edges[i])) for i in ranked)
+    return _record((mapped[k] for k in order), p.n, tuple(rows[i] for i in ranked),
+                   tuple(frozenset(where[k] for k in p._incidences[i]) for i in ranked), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,10 @@ def interior_grid(p: DelzantPolytope, per_axis: int, margin: float | None = None
     margin = default_margin(p) if margin is None else margin
     if not 0 < margin < np.inf:
         raise BadMargin(f"margin {margin} is not positive and finite")
+    if operator.index(per_axis) ** p.n * p.n * 8 > np.iinfo(np.intp).max:  # numpy's ValueError, not MemoryError
+        raise MemoryError(f"a grid of {per_axis}^{p.n} points is too large to index")
     # np.linspace(lo + margin, hi - margin, per_axis) in its own arithmetic
-    (lo, hi), y = bounding_box(p), np.arange(operator.index(per_axis), dtype=float)[:, None]
+    (lo, hi), y = bounding_box(p), np.arange(per_axis, dtype=float)[:, None]
     start, stop = lo + margin, hi - margin
     step = (stop - start) / (per_axis - 1)
     axes = (y * step if step.all() else y / (per_axis - 1) * (stop - start)) + start
@@ -98,6 +100,8 @@ def random_interior_points(
     radius = inradius(p)
     if margin >= radius:
         raise BadMargin(f"margin {margin} is not below the inradius {radius:.6g}")
+    if max(4 * operator.index(count), 64) * p.n * 8 > np.iinfo(np.intp).max:  # a batch below, as in interior_grid
+        raise MemoryError(f"a sample of {count} points is too large to index")
     lo, hi = bounding_box(p)
     out = np.empty((count, p.n))
     have = 0

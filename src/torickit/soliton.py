@@ -28,7 +28,7 @@ import numpy as np
 from . import exact, sampling
 from .curvature import AffineFit, affine_fit
 from .errors import MaxIterations, NotFano, OutOfFloatRange, QuadratureNotConverged
-from .polytope import AffineForm, DelzantPolytope, _carry, _cuts, _keys
+from .polytope import AffineForm, DelzantPolytope, _carry, _cuts, _point
 from .potential import SymplecticPotential, _vector, metric_jets
 
 NEWTON_TOL = 1e-10
@@ -42,24 +42,22 @@ def _simplices(p: DelzantPolytope):
     """Pulling triangulation of p as tuples of vertex indices, kept on p.
 
     Each face, the vertices listed in `vidx`, is coned from its
-    lexicographically smallest vertex (`_keys` order) over the distinct
-    facets that miss it, in form order, recursively.  The facets of a face
-    are those its forms cut out, decided from the incidences alone (`_cuts`).
+    lexicographically smallest vertex, its first, as p's vertex rows are
+    sorted, over the distinct facets that miss it, in form order,
+    recursively.  The facets of a face are those its forms cut out, decided
+    from the incidences alone (`_cuts`).
     """
     if "_simplices" in vars(p):
         return vars(p)["_simplices"]
-    incidences, keys = p._incidences, _keys(p.vertex_rows)
-    lex = sorted(range(len(incidences)), key=keys.__getitem__)
-    place = {i: r for r, i in enumerate(lex)}
 
     def face(vidx, dim):
         if len(vidx) == dim + 1:
             return [tuple(vidx)]
-        apex = min(vidx, key=place.__getitem__)
-        facets = dict.fromkeys(c for c in _cuts(vidx, incidences, len(p.forms)) if c and apex not in c)
+        apex = vidx[0]
+        facets = dict.fromkeys(c for c in _cuts(vidx, p._incidences, len(p.forms)) if c and apex not in c)
         return [s + (apex,) for sub in facets for s in face(sorted(sub), dim - 1)]
 
-    return vars(p).setdefault("_simplices", tuple(face(lex, p.n)))
+    return vars(p).setdefault("_simplices", tuple(face(range(len(p.vertex_rows)), p.n)))
 
 
 def triangulate(p: DelzantPolytope):
@@ -178,35 +176,33 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
     complete simplicial fan of p: the model is ample on that fan (Cox,
     Little and Schenck, Toric Varieties, section 6.1).  Its vertices are
     then exactly the w_v, with p's incidences and edge generators, so it
-    is Delzant and its vertex data are carried over from p.  (A form
-    tight at no vertex fails the test: it is negative somewhere on that
-    polytope, which holds the origin inside, so at most -1 at some
-    integer point w_v.)  Otherwise NotFano names the first vertex of p
-    where the certificate fails, and the test that failed there.
+    is Delzant and its vertex data are carried over from p.  Otherwise
+    NotFano names the first vertex of p where the certificate fails, and
+    the test that failed there.
     """
     n, normals = p.n, [f.u for f in p.forms]
     basis = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
     model = []  # the vertex rows (w_v, 1)
 
-    def at(v):  # made only for a message, so only on failure
-        return f"vertex {tuple(map(str, v.coordinates))} of p"
+    def at(vertex):  # made only for a message, so only on failure
+        return f"vertex {tuple(map(str, _point(vertex)))} of p"
 
-    for v in p.vertices:
-        gens = v.edge_generators
-        if len(v.incident_facets) != n or len(gens) != n:
+    for vertex, facets, edges in zip(p.vertex_rows, p._incidences, p._edges):
+        gens = [g for _, g in edges]
+        if len(facets) != n or len(gens) != n:
             raise NotFano(
-                f"{at(v)} has {len(v.incident_facets)} facets and {len(gens)} edges, "
+                f"{at(vertex)} has {len(facets)} facets and {len(gens)} edges, "
                 f"not {n}: p is not simple there"
             )
-        rows = [tuple(sum(map(mul, normals[k], g)) for g in gens) for k in v.incident_facets]
+        rows = [tuple(sum(map(mul, normals[k], g)) for g in gens) for k in facets]
         if sorted(rows) != basis:
-            raise NotFano(f"at {at(v)} the tight normals and the edge generators are not dual bases")
+            raise NotFano(f"at {at(vertex)} the tight normals and the edge generators are not dual bases")
         w = [-sum(c) for c in zip(*gens)]
         for k, u in enumerate(normals):
             value = sum(map(mul, u, w))
-            if k not in v.incident_facets and value <= -1:
+            if k not in facets and value <= -1:
                 raise NotFano(
-                    f"form {k} reaches {value} at the model vertex {tuple(w)} of {at(v)}, "
+                    f"form {k} reaches {value} at the model vertex {tuple(w)} of {at(vertex)}, "
                     "so -K is not ample"
                 )
         model.append((*w, 1))

@@ -277,6 +277,20 @@ class TestCurvature:
         assert err.startswith("error: Unable to allocate 7.11 PiB")
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [(["--grid", "100000"], "a grid of 100000^4 points"),
+         (["--random", "1000000000000000000"], "a sample of 1000000000000000000 points")],
+        ids=["grid", "random"],
+    )
+    def test_sample_too_large_to_index(self, capsys, flags, message):
+        # 10^20 grid points or a batch of 4 * 10^18 random rows: numpy cannot
+        # index them, and says so with ValueError, not MemoryError
+        rc, out, err = run(capsys, "curvature", "--catalog", "cube(4)", *flags)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message} is too large to index\n"
+
+    @pytest.mark.parametrize(
         "flags",
         [["--margin", "5"], ["--random", "5", "--margin", "0.4"]],
         ids=["grid", "random"],

@@ -27,7 +27,6 @@ from torickit import (
     Unbounded,
     UnimodularMap,
     UnknownName,
-    VertexData,
     affine_span_rank,
     catalog,
     check_delzant,
@@ -240,6 +239,12 @@ class TestDelzantCheck:
             assert len(v.edge_generators) == catalog_polytope.n
 
 
+def test_vertices_are_never_taken_as_given():
+    # the square's forms with the triangle's vertices read volume 1/2 once
+    with pytest.raises(TypeError):
+        DelzantPolytope(catalog("cube", 2).forms, catalog("simplex", 2).vertices, 2)
+
+
 class TestAffineSpan:
     def test_square_rank(self):
         assert affine_span_rank([(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]) == 2
@@ -253,13 +258,6 @@ class TestAffineSpan:
         assert rank == catalog_polytope.n
         assert catalog_polytope.affine_span_rank == rank
         assert check_delzant(catalog_polytope).affine_span_rank == rank
-
-    def test_rank_of_a_flat_vertex_set(self):
-        # the constructor takes vertex data as given, so the rank is computed
-        flat = [VertexData((F(c), F(c)), frozenset(), ()) for c in range(3)]
-        p = DelzantPolytope(forms_2d((1, 0, 0)), flat, 2)
-        assert p.affine_span_rank == 1
-        assert not vertices_affinely_span(p)
 
 
 class TestNormalization:
@@ -335,6 +333,26 @@ class TestUnimodularMap:
             with pytest.raises(ValueError, match="translation"):
                 UnimodularMap(((1, 0), (0, 1)), shift)
 
+    def test_dimension_validated(self):
+        # the plane's map on a 3-dimensional polytope, and the converse
+        two = UnimodularMap(((1, 0), (0, 1)), (F(0), F(0)))
+        three = UnimodularMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (F(0),) * 3)
+        with pytest.raises(ValueError, match=r"^a polytope of dimension 3 under a map of dimension 2$"):
+            two.apply_polytope(catalog("cube", 3))
+        with pytest.raises(ValueError, match=r"^a polytope of dimension 2 under a map of dimension 3$"):
+            three.apply_polytope(catalog("cube", 2))
+        with pytest.raises(ValueError, match=r"^a form of dimension 2 under a map of dimension 3$"):
+            three.apply_form(AffineForm((1, 0), F(0)))
+        for point in ((1, 2), [F(1), F(2)]):
+            with pytest.raises(ValueError, match=r"^a point of dimension 2 under a map of dimension 3$"):
+                three.apply_point(point)
+        for points in ([1.0, 2.0], np.zeros((4, 2))):
+            with pytest.raises(ValueError, match=r"^a point of dimension 2 under a map of dimension 3$"):
+                three.apply_point_float(points)
+        with pytest.raises(ValueError, match=r"^a point of dimension 2 under a map of dimension 3$"):
+            three.apply_point_float(np.zeros((0, 2)))
+        assert two.apply_point_float(np.zeros((4, 2))).shape == (4, 2)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_lattice_maps_preserve_exact_invariants(self, data):
@@ -397,22 +415,22 @@ class TestTransport:
 
 
 def lazily_built(q):
-    """Check that the carried polytope q has not built its vertex data, then
-    read the triangulation and the float vertices, which must not build them
+    """Check that the polytope q has not built its vertex data, then read
+    the triangulation and the float vertices, which must not build them
     either; then build them, and check that the two read the same after."""
     assert "vertices" not in vars(q)
     simplices, floats = torickit.soliton._simplices(q), q.vertex_floats.copy()
     assert "vertices" not in vars(q)
-    simplices_after = torickit.soliton._simplices(DelzantPolytope(q.forms, q.vertices, q.n))
+    simplices_after = torickit.soliton._simplices(DelzantPolytope.from_forms(q.forms, q.n))
     assert simplices_after == simplices
     assert np.array_equal(exact.floats([v.coordinates for v in q.vertices]), floats)
     assert q._incidences == tuple(v.incident_facets for v in q.vertices)
 
 
 class TestLazyCarry:
-    """Lattice images and Fano models keep integer vertex rows, incidences
-    and the span rank, and build their `vertices` on first read; what they
-    build must be what a fresh walk over their forms gives."""
+    """Lattice images and Fano models keep the vertex record of a walk and
+    build their `vertices` on first read; what they build must be what a
+    fresh walk over their forms gives."""
 
     @staticmethod
     def check(q):
@@ -449,11 +467,19 @@ class TestLazyCarry:
 
     def test_a_verdict_builds_no_model_vertices(self):
         for entry in CATALOG_DEFAULTS:
-            fp = fano_normalize(catalog(entry[0], *entry[1]))
+            p = catalog(entry[0], *entry[1])
+            fp = fano_normalize(p)
             a = soliton_vector(fp).a
             polytope_integral(fp, a, "xx")
             verify_einstein(SymplecticPotential.guillemin(fp.base), a, grid=6)
+            assert "vertices" not in vars(p), entry
             assert "vertices" not in vars(fp.base), entry
+
+
+@settings(max_examples=40, deadline=None)
+@given(polytopes())
+def test_a_walked_polytope_builds_its_vertices_lazily(p):
+    TestLazyCarry.check(DelzantPolytope.from_forms(p.forms, p.n))
 
 
 def integer_rows(p):
@@ -465,12 +491,9 @@ def integer_rows(p):
     return tuple(rows)
 
 
-@settings(max_examples=100, deadline=None)
-@given(polytopes(), st.data())
-def test_builders_hand_over_integer_rows(p, data):
-    """Every builder hands its vertices' integer rows and its span rank to
-    the polytope; they must be the rows of its Fraction coordinates and
-    their span rank."""
+def builds(p, data):
+    """p, a lattice image q of p, q normalized at a vertex and q's Fano
+    model, the last two where they exist."""
     q = data.draw(lattice_maps(p.n)).apply_polytope(p)
     built = [p, q]
     try:
@@ -481,10 +504,37 @@ def test_builders_hand_over_integer_rows(p, data):
         built.append(fano_normalize(q).base)
     except NotFano:
         pass
-    for r in built:
+    return built
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytopes(), st.data())
+def test_builders_hand_over_integer_rows(p, data):
+    """Every builder hands its vertices' integer rows and its span rank to
+    the polytope; they must be the rows of its Fraction coordinates and
+    their span rank, which is n."""
+    for r in builds(p, data):
         assert {"vertex_rows", "affine_span_rank"} <= vars(r).keys()  # handed over, not derived
         assert r.vertex_rows == integer_rows(r)
-        assert r.affine_span_rank == fraction_affine_rank([v.coordinates for v in r.vertices])
+        assert r.affine_span_rank == r.n == fraction_affine_rank([v.coordinates for v in r.vertices])
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytopes(), st.data())
+def test_edge_records_are_consistent(p, data):
+    """For every vertex i and every (j, g) in its edges: vertex j - vertex i
+    is a positive multiple of the primitive g, vertex j lists (i, -g), and
+    the neighbours j rise strictly."""
+    for r in builds(p, data):
+        points = [[F(c, row[-1]) for c in row[:-1]] for row in r.vertex_rows]
+        for i, edges in enumerate(r._edges):
+            neighbours = [j for j, _ in edges]
+            assert all(a < b for a, b in zip(neighbours, neighbours[1:]))
+            for j, g in edges:
+                step = [b - a for a, b in zip(points[i], points[j])]
+                t = next(s / c for s, c in zip(step, g) if c)
+                assert t > 0 and step == [t * c for c in g] and math.gcd(*g) == 1
+                assert (i, tuple(-c for c in g)) in r._edges[j]
 
 
 class TestCatalog:
