@@ -42,7 +42,7 @@ import numpy as np
 
 from . import sampling
 from .errors import DegenerateSampleSet
-from .potential import _CHUNK, MetricBatch, SymplecticPotential, _vector, metric_jet, metric_jets
+from .potential import _CHUNK, MetricBatch, SymplecticPotential, _tolerances, _vector, metric_jet, metric_jets
 
 FD_STEP_FRACTION = 24.0       # step = interior distance / 24
 FD_MARGIN_FACTOR = 10.0       # require distance >= 10 * step
@@ -209,7 +209,8 @@ def extremality_check(
     tol: float | None = None,
     margin: float | None = None,
 ) -> tuple[bool, AffineFit]:
-    """Sample s on an interior grid and test affinity of the samples."""
+    """Sample s on an interior grid and test their affinity (tol checked first)."""
+    _tolerances(tol=tol)
     pts = sampling.interior_grid(pot.polytope, grid, margin)
     return extremality_from_samples(pts, scalar_curvatures(pot, pts), tol)
 
@@ -218,8 +219,10 @@ def extremality_from_samples(points, values, tol: float | None = None) -> tuple[
     """Test affinity of sampled curvature values.
 
     The default tolerance is scale aware: 1e-6 times the larger of 1,
-    the sample range, and the mean magnitude of s.
+    the sample range, and the mean magnitude of s.  A tol given must be
+    positive and finite (ValueError).
     """
+    _tolerances(tol=tol)
     values = np.asarray(values, dtype=float)
     fit = affine_fit(points, values)
     if tol is None:

@@ -255,7 +255,8 @@ class DelzantPolytope:
 
     @cached_property
     def normal_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.normals_float, axis=1)
+        # integer normals: the squares sum exactly, so this is np.linalg.norm's value
+        return np.sqrt(np.einsum("ki,ki->k", self.normals_float, self.normals_float))
 
     @cached_property
     def vertices(self) -> tuple[VertexData, ...]:
@@ -274,13 +275,16 @@ class DelzantPolytope:
         return np.einsum("...i,ki->...k", np.asarray(x, dtype=float), self.normals_float) - self.offsets_float
 
     def vertex_at(self, point) -> VertexData:
-        if isinstance(point, VertexData):
-            point = point.coordinates
-        coords = tuple(exact.frac(c) for c in point)
-        for v in self.vertices:
-            if v.coordinates == coords:
-                return v
-        raise NotDelzantVertex(f"{tuple(map(str, coords))} is not a vertex")
+        return self.vertices[self._vertex_index(point)]
+
+    def _vertex_index(self, point) -> int:
+        """The index of the vertex at `point`, a VertexData or exact coordinates."""
+        coords = tuple(exact.frac(c) for c in (point.coordinates if isinstance(point, VertexData) else point))
+        (x,), d = exact._integer_rows([coords])
+        try:  # the point's row (X, D) is in lowest terms, as the vertex rows are
+            return self.vertex_rows.index((*x, d))
+        except ValueError:
+            raise NotDelzantVertex(f"{tuple(map(str, coords))} is not a vertex") from None
 
     def to_json(self) -> dict:
         return {"n": self.n, "forms": [f.to_json() for f in self.forms]}
@@ -446,34 +450,24 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
     The vertex goes to 0, its edge generators to the standard basis, and
     the transformed polytope lists the n incident coordinate half spaces
     {x_i >= 0} first.  Raises NotDelzantVertex when the point is not a
-    vertex or its edge basis is not unimodular.
+    vertex or its edge basis is not unimodular: exactly when the tight
+    normals and the edge generators g_i are not dual bases, as they pair
+    to a positive multiple of a permutation matrix.  The map's matrix is
+    then the inverse of the edge basis, row i the normal u with <u, g_i> = 1.
     """
-    vertex = p.vertex_at(point)
-    if len(vertex.edge_generators) != p.n:
-        raise NotDelzantVertex(
-            f"vertex {tuple(map(str, vertex.coordinates))} has "
-            f"{len(vertex.edge_generators)} edges, expected {p.n}"
-        )
-    gens = sorted(vertex.edge_generators, key=_generator_slot)
-    try:
-        # the edge generators as columns: this map sends e_i to gens[i]
-        edges = UnimodularMap(matrix=tuple(zip(*gens)), translation=(0,) * p.n)
-    except ValueError:
-        raise NotDelzantVertex(
-            f"edge basis at {tuple(map(str, vertex.coordinates))} is not unimodular"
-        ) from None
-    trans = UnimodularMap(matrix=edges.matrix_inverse, translation=vertex.coordinates)
-    mapped = [trans.apply_form(f) for f in p.forms]
-
-    basis = _orthant(p.n)
-    order = [k for e in basis for k, f in enumerate(mapped) if f == e]
-    if [mapped[k] for k in order] != basis:
-        raise NotDelzantVertex(
-            f"normalisation at {tuple(map(str, vertex.coordinates))} "
-            "does not produce each coordinate half space once"
-        )
-    order += [k for k in range(len(mapped)) if k not in order]
-    return trans, trans._image(p, mapped, order)
+    v = p._vertex_index(point)
+    vertex = _point(p.vertex_rows[v])
+    gens = sorted((g for _, g in p._edges[v]), key=_generator_slot)
+    if len(gens) != p.n:
+        raise NotDelzantVertex(f"vertex {tuple(map(str, vertex))} has {len(gens)} edges, expected {p.n}")
+    pairing = {tuple(sum(map(mul, p.forms[k].u, g)) for g in gens): k for k in p._incidences[v]}
+    basis = [tuple(int(i == j) for j in range(p.n)) for i in range(p.n)]
+    if sorted(pairing) != sorted(basis):
+        raise NotDelzantVertex(f"edge basis at {tuple(map(str, vertex))} is not unimodular")
+    order = [pairing[e] for e in basis]
+    trans = UnimodularMap(matrix=tuple(p.forms[k].u for k in order), translation=vertex)
+    order += [k for k in range(p.num_forms) if k not in order]
+    return trans, trans._image(p, [trans.apply_form(f) for f in p.forms], order)
 
 
 def _record(forms, n, rows, incidences, edges) -> DelzantPolytope:

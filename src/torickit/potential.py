@@ -18,6 +18,8 @@ rows of an (N, n) array: `metric_jets` feeds it in chunks and
 compiled once per order into exponent and weight arrays.  No 2-D matmul
 runs over the rows (BLAS rounds one row and many differently): einsum
 contracts each row alone, so a point's jet is its row of any batch.
+Each chunk keeps the Cholesky factor of G; G^{-1} is built on first
+read, and q = a^T G^{-1} a comes from the factor without it.
 
 The inverse metric G^{-1} extends continuously by zero to the vertices,
 and 1/det G factors as delta(x) * prod_k lambda_k(x) with delta smooth
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, inf
 
 import numpy as np
 
@@ -53,6 +55,13 @@ def _vector(a, n: int) -> np.ndarray:
     return a
 
 
+def _tolerances(**named) -> None:
+    """ValueError unless each tolerance given (not None) is positive and finite."""
+    for name, value in named.items():
+        if value is not None and not 0 < value < inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 class SymplecticPotential:
     """Canonical potential of a polytope plus a polynomial perturbation."""
 
@@ -64,6 +73,7 @@ class SymplecticPotential:
                 f"h has {self.h.nvars} variables, polytope dimension is {polytope.n}"
             )
         self._h_plans: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._powers = [np.ones((polytope.num_forms, 1))]     # u^{(0)}; see `_normal_powers`
 
     @classmethod
     def guillemin(cls, polytope: DelzantPolytope) -> "SymplecticPotential":
@@ -100,14 +110,13 @@ class SymplecticPotential:
         exponents, weights, gather = self._h_plan(order)
         return np.einsum("pe,ec->pc", np.prod(x[:, None, :] ** exponents, axis=-1), weights)[:, gather]
 
-    @cached_property
-    def _normal_powers(self) -> list[np.ndarray]:
-        """The tensor powers u_k^{(r)} of the normals, flattened to (m, n^r)."""
-        u = self.polytope.normals_float
-        powers = [np.ones((len(u), 1))]
-        for _ in range(4):
+    def _normal_powers(self, order: int) -> list[np.ndarray]:
+        """The tensor powers u_k^{(r)} of the normals for r <= order, flattened
+        to (m, n^r); each is built when a pass first asks for its order."""
+        u, powers = self.polytope.normals_float, self._powers
+        while len(powers) <= order:
             powers.append((powers[-1][:, :, None] * u[:, None, :]).reshape(len(u), -1))
-        return powers
+        return powers[: order + 1]
 
     def to_json(self) -> dict:
         return {"polytope": self.polytope.to_json(), "h": self.h.to_json()}
@@ -178,17 +187,35 @@ def metric_jet(pot: SymplecticPotential, x, with_derivatives: bool = False) -> M
 class MetricBatch:
     """Metric data at N points: every field carries a leading row axis.
 
-    lam holds the defining forms; dG and d2G are the third and fourth
-    derivatives of g, present when requested.
+    lam holds the defining forms, chol the Cholesky factors L of G = L L^T,
+    det_G = prod diag(L)^2; dG and d2G are the third and fourth derivatives
+    of g, present when requested.  G_inv is built on first read.
     """
 
     x: np.ndarray
     lam: np.ndarray
     G: np.ndarray
-    G_inv: np.ndarray
+    chol: np.ndarray
     det_G: np.ndarray
     dG: np.ndarray | None
     d2G: np.ndarray | None
+
+    @cached_property
+    def G_inv(self) -> np.ndarray:
+        """G^{-1} with one Newton refinement step, which keeps G G^{-1} - I near
+        the rounding floor, then symmetrised."""
+        g_inv = np.linalg.inv(self.G)
+        g_inv = g_inv @ (2.0 * np.eye(self.G.shape[-1]) - self.G @ g_inv)
+        return 0.5 * (g_inv + g_inv.swapaxes(1, 2))
+
+    def inverse_form(self, a: np.ndarray) -> np.ndarray:
+        """q = a^T G^{-1} a = |y|^2 at every row, L y = a solved by forward
+        substitution, backward stable (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., ch. 10); einsum contracts each row alone."""
+        y = np.empty(self.chol.shape[:2])
+        for i, low in enumerate(self.chol.swapaxes(0, 1)):     # y_i = (a_i - sum_{k<i} L_ik y_k) / L_ii
+            y[:, i] = (a[i] - np.einsum("pk,pk->p", low[:, :i], y[:, :i])) / low[:, i]
+        return np.einsum("pi,pi->p", y, y)
 
 
 def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool) -> MetricBatch:
@@ -197,10 +224,10 @@ def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool
     lambda, then the derivatives of g of order 2 to 4 in closed form,
         order r:  (1/2) (-1)^r (r-2)! sum_k u_k^{(r)} / lambda_k^{r-1}
                   + (1/2) (order-r partials of h),
-    then a batched Cholesky certificate, G^{-1} with one Newton refinement
-    step, and det G.  Raises OutsideDomain for the first row with some
-    lambda_k <= 0, else NotPositiveDefinite for the first row whose
-    smallest eigenvalue is not positive.
+    then a batched Cholesky certificate, kept with det G.  Raises
+    OutsideDomain for the first row with some lambda_k <= 0, else
+    NotPositiveDefinite for the first row whose smallest eigenvalue is not
+    positive.
     """
     lam = pot.polytope.lambdas(x)
     bad = lam <= 0
@@ -208,9 +235,10 @@ def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool
         i = int(np.argmax(bad.any(axis=1)))
         k = int(np.argmax(bad[i]))
         raise OutsideDomain(x[i], k, lam[i, k])
+    powers = pot._normal_powers(4 if with_derivatives else 2)
     derivs = []
-    for r in range(2, 5 if with_derivatives else 3):
-        d = np.einsum("pk,ka->pa", 0.5 * (-1) ** r * factorial(r - 2) * lam ** (1.0 - r), pot._normal_powers[r])
+    for r in range(2, len(powers)):
+        d = np.einsum("pk,ka->pa", 0.5 * (-1) ** r * factorial(r - 2) * lam ** (1.0 - r), powers[r])
         if not pot.h.is_zero:
             d = d + 0.5 * pot._h_rows(r, x)
         derivs.append(d.reshape((len(x),) + (pot.n,) * r))
@@ -222,15 +250,11 @@ def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool
         eig = np.linalg.eigvalsh(g)[:, 0]
         i = int(np.argmax(eig <= 0))
         raise NotPositiveDefinite(x[i], eig[i]) from None
-    g_inv = np.linalg.inv(g)
-    # One Newton refinement step keeps G*G_inv - I near the rounding floor.
-    g_inv = g_inv @ (2.0 * np.eye(pot.n) - g @ g_inv)
-    g_inv = 0.5 * (g_inv + g_inv.swapaxes(1, 2))
     return MetricBatch(
         x=x,
         lam=lam,
         G=g,
-        G_inv=g_inv,
+        chol=chol,
         det_G=np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1) ** 2,
         dG=derivs[1] if with_derivatives else None,
         d2G=derivs[2] if with_derivatives else None,

@@ -29,7 +29,7 @@ from . import exact, sampling
 from .curvature import AffineFit, affine_fit
 from .errors import MaxIterations, NotFano, OutOfFloatRange, QuadratureNotConverged
 from .polytope import AffineForm, DelzantPolytope, _carry, _cuts, _point
-from .potential import SymplecticPotential, _vector, metric_jets
+from .potential import SymplecticPotential, _tolerances, _vector, metric_jets
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -277,8 +277,12 @@ def soliton_vector(
     The gradient is the weighted barycenter integral x e^{<a,x>}, the
     Hessian integral x x^T e^{<a,x>} is positive definite, so Newton steps
     backtracking on |grad F| converge from a = 0 (not on F: near the
-    minimum F changes by less than its rounding).
+    minimum F changes by less than its rounding).  ValueError unless tol
+    is positive and finite and max_iterations at least 1.
     """
+    _tolerances(tol=tol)
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     a = np.zeros(fp.n)
     _, grad, hess = _moments(fp, a)
     for iteration in range(max_iterations):
@@ -342,8 +346,10 @@ def einstein_verdict_from_samples(
     vertices must affinely span.  (4) q itself must be as small as the
     zero affine function predicts.  Steps 2-4 cannot fail for genuine
     metric data, so their failure yields Inconclusive.  OutOfFloatRange when
-    q, the fit's vertex values or the zero bound is not finite.
+    q, the fit's vertex values or the zero bound is not finite; ValueError
+    for a tolerance given that is not positive and finite.
     """
+    _tolerances(affinity_tol=affinity_tol, vertex_tol=vertex_tol)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -422,12 +428,14 @@ def verify_einstein(
     the soliton field must vanish (Einstein), the affinity hypothesis
     fails, or the certificates disagree (Inconclusive).
 
-    q is evaluated over the grid in batches; a point where the metric
-    fails raises as `metric_jet` would there, for the first such point.
+    q comes from each batch's Cholesky factor (`MetricBatch.inverse_form`),
+    so no G is inverted; a point where the metric fails raises as `metric_jet`
+    would there, for the first such point.  Tolerances are checked first.
     """
     a = _vector(a, pot.n)
+    _tolerances(affinity_tol=affinity_tol, vertex_tol=vertex_tol)
     pts = sampling.interior_grid(pot.polytope, grid, margin)
-    values = np.concatenate([np.einsum("i,pij,j->p", a, b.G_inv, a) for b in metric_jets(pot, pts)])
+    values = np.concatenate([b.inverse_form(a) for b in metric_jets(pot, pts)])
     return einstein_verdict_from_samples(
         pot.polytope, pts, values, affinity_tol=affinity_tol, vertex_tol=vertex_tol
     )

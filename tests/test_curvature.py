@@ -23,12 +23,14 @@ from torickit import (
     affine_fit,
     catalog,
     extremality_check,
+    extremality_from_samples,
     fd_cross_validate,
     interior_grid,
     metric_jet,
     random_interior_points,
     scalar_curvature,
     scalar_curvature_fd,
+    scalar_curvatures,
     scalar_curvatures_fd,
     soliton_identity_residual,
 )
@@ -366,3 +368,15 @@ class TestOracleAgreement:
         pts = random_interior_points(pot.polytope, 15, margin=0.05, rng=rng)
         for x in pts:
             assert scalar_curvature(pot, x) == pytest.approx(field(x), rel=1e-11)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+def test_extremality_refuses_a_bad_tolerance(monkeypatch, value):
+    # tol = inf called hirzebruch(1)'s canonical metric extremal
+    pot = SymplecticPotential.guillemin(catalog("hirzebruch", 1))
+    pts = sampling.interior_grid(pot.polytope, 5)
+    values = scalar_curvatures(pot, pts)
+    monkeypatch.setattr(sampling, "interior_grid", None)    # refused before sampling
+    for call in (lambda: extremality_check(pot, tol=value), lambda: extremality_from_samples(pts, values, tol=value)):
+        with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {value}$"):
+            call()

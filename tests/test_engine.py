@@ -1,7 +1,8 @@
 """The batched metric-and-curvature engine: the batch and the one-point
 API against an entry-by-entry reference jet, an exact rational oracle,
-error payloads, chunked memory, and two property tests: every one-point
-call is its row of a batch to the last bit, and unimodular covariance."""
+error payloads, chunked memory, G^{-1} built on first read, q = a^T G^{-1} a
+from the Cholesky factor, and two property tests: every one-point call
+is its row of a batch to the last bit, and unimodular covariance."""
 
 import tracemalloc
 from fractions import Fraction
@@ -247,11 +248,59 @@ def test_one_point_calls_are_their_batch_rows(case):
         "fd": [scalar_curvature_fd(pot, x) for x in pts],
         "distance": [float(sampling.interior_distance(p, x)) for x in pts],
     }
+    a = np.random.default_rng(seed).uniform(-2.0, 2.0, p.n)
+    one["q"] = [next(metric_jets(pot, x)).inverse_form(a)[0] for x in pts]
     for count in (1, 256, 257):
         rows = pts[:count]
+        assert np.concatenate([b.inverse_form(a) for b in metric_jets(pot, rows)]).tolist() == one["q"][:count]
         assert scalar_curvatures(pot, rows).tolist() == one["s"][:count]
         assert scalar_curvatures_fd(pot, rows).tolist() == one["fd"][:count]
         assert sampling.interior_distance(p, rows).tolist() == one["distance"][:count]
+
+
+# ---------------------------------------------------------------------------
+# G^{-1} is built on first read; q = a^T G^{-1} a comes from the Cholesky factor
+
+
+def test_the_inverse_is_built_on_first_read():
+    pots = [SymplecticPotential.guillemin(catalog(name, *params)) for name, params in CATALOG_DEFAULTS]
+    for pot in pots + [perturbed_simplex(), HIRZEBRUCH_IMAGE]:
+        pts = random_interior_points(pot.polytope, 300, margin=0.05 * sampling.inradius(pot.polytope), rng=2)
+        for deriv in (False, True):
+            for b in metric_jets(pot, pts, with_derivatives=deriv):
+                assert "G_inv" not in vars(b)
+                assert np.array_equal(b.chol, np.linalg.cholesky(b.G))
+                assert np.array_equal(b.det_G, np.prod(np.diagonal(b.chol, axis1=1, axis2=2), axis=1) ** 2)
+                # the inverse, one Newton refinement step, then symmetrised
+                want = np.linalg.inv(b.G)
+                want = want @ (2.0 * np.eye(pot.n) - b.G @ want)
+                want = 0.5 * (want + want.swapaxes(1, 2))
+                assert np.array_equal(b.G_inv, want)
+                assert b.G_inv is b.G_inv
+
+
+def exact_q(p, a, x):
+    """a^T G^{-1} a in exact arithmetic at the float point x, for h = 0."""
+    x, a = [F(c) for c in x], [F(c) for c in a]
+    lam = [f.value(x) for f in p.forms]
+    g = [[sum(F(f.u[i] * f.u[j]) / (2 * l) for f, l in zip(p.forms, lam)) for j in range(p.n)] for i in range(p.n)]
+    gi = exact_inverse(g)
+    return sum(a[i] * gi[i][j] * a[j] for i in range(p.n) for j in range(p.n))
+
+
+def test_q_from_the_cholesky_factor_is_as_accurate_as_from_the_inverse():
+    # a lattice image of hirzebruch(1) close to its facets: cond(G) reaches about 1e8
+    p = UnimodularMap(((-5, 12), (-8, 19)), (0, 0)).apply_polytope(catalog("hirzebruch", 1))
+    pot = SymplecticPotential.guillemin(p)
+    pts = random_interior_points(p, 400, margin=1e-4 * sampling.inradius(p), rng=0)
+    batches = list(metric_jets(pot, pts))
+    assert max(np.linalg.cond(b.G).max() for b in batches) > 1e7
+    for a in (np.array([1.0, -0.5]), np.array([0.3, 0.7]), np.array([-2.0, 1.25])):
+        want = np.array([float(exact_q(p, a, x)) for x in pts])
+        from_l = np.concatenate([b.inverse_form(a) for b in batches])
+        from_inverse = np.concatenate([np.einsum("i,pij,j->p", a, b.G_inv, a) for b in batches])
+        err_l, err_inverse = (np.max(np.abs(q - want) / want) for q in (from_l, from_inverse))
+        assert err_l <= 2.0 * err_inverse, (a, err_l, err_inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,21 @@ class TestBatchedVerdict:
             verify_einstein(pot, [1.0, 0.0], grid=30)
         assert (got.value.point, got.value.eigenvalue) == (want.point, want.eigenvalue)
 
+    def test_a_verdict_inverts_no_metric(self, monkeypatch):
+        # q comes from the Cholesky factor; det_factorization_check reads det G alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+
+        for entry in CATALOG_DEFAULTS:
+            fp = fano_normalize(catalog(entry[0], *entry[1]))
+            a = soliton_vector(fp).a
+            pot = SymplecticPotential.guillemin(fp.base)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "inv", refuse)
+                verdict = verify_einstein(pot, a, grid=6)
+                torickit.potential.det_factorization_check(pot, interior_grid(fp.base, 6))
+            assert verdict.fit.n_samples == len(interior_grid(fp.base, 6)), entry
+
     def test_success_never_takes_the_one_point_route(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("metric_jet called")
@@ -746,3 +761,38 @@ class TestBatchedVerdict:
                                       ("blowup_cp2", (1,), [T_STAR, T_STAR], 30)):
             verdict = verify_einstein(SymplecticPotential(catalog(name, *params)), a, grid=grid)
             assert verdict.fit.n_samples > torickit.potential._CHUNK
+
+
+# ---------------------------------------------------------------------------
+# tolerances: a value that is not positive and finite is refused with
+# ValueError before any work, as the CLI refuses it with exit 2
+
+BAD_TOLERANCES = [-1.0, 0.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("value", BAD_TOLERANCES)
+@pytest.mark.parametrize("name", ["affinity_tol", "vertex_tol"])
+def test_a_verdict_refuses_a_bad_tolerance(monkeypatch, name, value):
+    pot = SymplecticPotential(catalog("cube", 2))    # Kähler-Einstein: a = 0
+    monkeypatch.setattr(torickit.sampling, "interior_grid", None)    # refused before sampling
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {value}$"):
+        verify_einstein(pot, [0.0, 0.0], **{name: value})
+    pts = interior_grid(pot.polytope, 6)
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {value}$"):
+        einstein_verdict_from_samples(pot.polytope, pts, np.zeros(len(pts)), **{name: value})
+
+
+@pytest.mark.parametrize("value", BAD_TOLERANCES)
+def test_soliton_vector_refuses_a_bad_tolerance(monkeypatch, value):
+    fp = fano_normalize(catalog("blowup_cp2", 1))
+    monkeypatch.setattr(torickit.soliton, "_moments", None)    # refused before the first moment
+    with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {value}$"):
+        soliton_vector(fp, tol=value)
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_soliton_vector_refuses_fewer_than_one_iteration(monkeypatch, value):
+    fp = fano_normalize(catalog("blowup_cp2", 1))
+    monkeypatch.setattr(torickit.soliton, "_moments", None)
+    with pytest.raises(ValueError, match=rf"^max_iterations must be at least 1, got {value}$"):
+        soliton_vector(fp, max_iterations=value)
