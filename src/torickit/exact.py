@@ -5,7 +5,8 @@ Every value that enters the exact layer passes `integer` or `frac`, which
 refuse bools and floats instead of truncating them, and every exact value
 that leaves it for numpy passes `floats`, which refuses one beyond the
 range of a double.  `document` and `parsing` are the shared front of the
-JSON parsers.
+JSON parsers.  `_eliminate`, the one elimination kernel, takes integer
+rows: the public wrappers scale theirs once, and integer callers pass theirs.
 """
 
 from __future__ import annotations
@@ -119,15 +120,15 @@ def _integer_rows(rows):
 
 def _eliminate(rows, ncols: int):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of a copy of
-    `rows`, each scaled to integers by the lcm of its denominators.
+    the integer `rows`.
 
     Pivots are sought only in the first `ncols` columns; any further
     columns ride along.  Returns the integer rows, the pivot columns and
     the common denominator d: the rows over d are the reduced row echelon
     form.  A row swap negates one of the two rows, so d of a nonsingular
-    square matrix is the determinant of the scaled rows.
+    square matrix is its determinant.
     """
-    m = _integer_rows(rows)[0]
+    m = [list(row) for row in rows]
     pivots, prev = [], 1
     for c in range(ncols):
         r = len(pivots)
@@ -175,21 +176,26 @@ def _order(rows) -> int:
 
 def rank(rows) -> int:
     """Rank by fraction-free Gaussian elimination."""
-    return len(_eliminate(rows, len(rows[0]))[1]) if rows else 0
+    return len(_eliminate(_integer_rows(rows)[0], len(rows[0]))[1]) if rows else 0
+
+
+def _det(rows) -> int:
+    """The determinant of a square integer matrix."""
+    _, pivots, d = _eliminate(rows, len(rows))
+    return d if len(pivots) == len(rows) else 0
 
 
 def det(rows) -> Fraction:
-    n = _order(rows)
+    _order(rows)
     ints, scale = _integer_rows(rows)
-    _, pivots, d = _eliminate(ints, n)
-    return Fraction(d, scale) if len(pivots) == n else Fraction(0)
+    return Fraction(_det(ints), scale)
 
 
 def inverse(rows):
     """Exact inverse of a nonsingular square matrix."""
     n = _order(rows)
     augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    reduced, pivots, d = _eliminate(augmented, n)
+    reduced, pivots, d = _eliminate(_integer_rows(augmented)[0], n)
     if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in reduced)
@@ -198,7 +204,7 @@ def inverse(rows):
 def kernel_vector(rows, ncols: int):
     """One nonzero kernel vector of a rank-deficient system, or None; for
     a matrix of rank ncols-1 it spans the kernel."""
-    reduced, pivots, d = _eliminate(rows, ncols)
+    reduced, pivots, d = _eliminate(_integer_rows(rows)[0], ncols)
     vec = _integer_kernel(reduced, pivots, d, ncols)
     return None if vec is None else tuple(Fraction(x, d) for x in vec)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm, prod
 from typing import Mapping
 
 import numpy as np
@@ -90,19 +91,24 @@ class Polynomial:
         return result
 
     def diff(self, i: int) -> "Polynomial":
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            e2 = tuple(x - int(j == i) for j, x in enumerate(e))
-            out[e2] = out.get(e2, Fraction(0)) + c * e[i]
-        return Polynomial(self.nvars, out)
+        return self.derivative((i,))
 
     def derivative(self, indices) -> "Polynomial":
-        p = self
+        """d/dx_i for each i in `indices`, in one pass: x^e goes to prod_i e_i!/(e_i - k_i)!
+        x^(e - k), k_i the times i occurs.  ValueError for an index outside 0..nvars-1."""
+        k = [0] * self.nvars
         for i in indices:
-            p = p.diff(i)
-        return p
+            i = exact.integer(i)
+            if not 0 <= i < self.nvars:
+                raise ValueError(f"variable index {i} outside 0..{self.nvars - 1}")
+            k[i] += 1
+        out = Polynomial.__new__(Polynomial)
+        out.nvars, out.coeffs = self.nvars, {}
+        # e -> e - k is one to one and e_i!/(e_i - k_i)! > 0: the terms are distinct and nonzero
+        for e, c in self.coeffs.items():
+            if all(a >= b for a, b in zip(e, k)):
+                out.coeffs[tuple(a - b for a, b in zip(e, k))] = c * prod(map(perm, e, k))
+        return out
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)

@@ -57,6 +57,13 @@ class AffineForm:
         return {"u": list(self.u), "b": exact.frac_str(self.b)}
 
 
+def _form(u: tuple[int, ...], b: Fraction) -> AffineForm:
+    """An AffineForm of a primitive int tuple u and a Fraction b, not checked again."""
+    f = object.__new__(AffineForm)
+    vars(f).update(u=u, b=b)
+    return f
+
+
 @dataclass(frozen=True)
 class VertexData:
     """A vertex with its tight forms and primitive edge directions.
@@ -337,7 +344,7 @@ def check_delzant(p: DelzantPolytope) -> DelzantReport:
         edges = len(v.edge_generators)
         d = None
         if edges == p.n:
-            d = int(exact.det([list(g) for g in v.edge_generators]))
+            d = exact._det(v.edge_generators)
         ok = facets == p.n and edges == p.n and d is not None and abs(d) == 1
         reports.append(VertexReport(i, v.coordinates, facets, edges, d, ok))
     return DelzantReport(
@@ -359,7 +366,9 @@ def vertices_affinely_span(p: DelzantPolytope) -> bool:
 
 @dataclass(frozen=True)
 class UnimodularMap:
-    """Affine lattice map x -> A (x - t) with |det A| = 1."""
+    """Affine lattice map x -> A (x - t) with |det A| = 1, proved by inverting A over
+    the integers, or by a known inverse (`_certified`).  The integral A^{-T} sends
+    primitive integer normals to primitive ones, so image forms skip the checks."""
 
     matrix: tuple[tuple[int, ...], ...]
     translation: tuple[Fraction, ...]
@@ -376,11 +385,19 @@ class UnimodularMap:
             inv = tuple(tuple(exact.integer(c) for c in row) for row in exact.inverse(a))
         except (ZeroDivisionError, TypeError):
             raise ValueError(f"matrix determinant {exact.det(a)}, not a lattice automorphism") from None
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "matrix_inverse", inv)
-        object.__setattr__(
-            self, "translation", tuple(exact.frac(c) for c in self.translation)
-        )
+        vars(self).update(matrix=a, matrix_inverse=inv, translation=tuple(map(exact.frac, self.translation)))
+
+    @classmethod
+    def _certified(cls, matrix, matrix_inverse, translation) -> "UnimodularMap":
+        """The map of int rows `matrix`, known to invert to `matrix_inverse`, and Fractions t."""
+        m = object.__new__(cls)
+        vars(m).update(matrix=matrix, matrix_inverse=matrix_inverse, translation=translation)
+        return m
+
+    @cached_property
+    def _shift(self) -> tuple[list[list[int]], int]:
+        """The translation t as the integer row [T] over its common denominator E."""
+        return exact._integer_rows([self.translation])
 
     def _dimension(self, n: int, what: str) -> None:
         if n != len(self.matrix):
@@ -404,14 +421,10 @@ class UnimodularMap:
         # lambda'(x') = lambda(x) forces u' = A^{-T} u, b' = b - <u, t>:
         # with b = p / q and t = T / E, b' = (E p - q <u, T>) / (q E).
         self._dimension(len(form.u), "form")
-        ainv = self.matrix_inverse
-        u_new = tuple(
-            sum(ainv[i][j] * form.u[i] for i in range(len(form.u)))
-            for j in range(len(form.u))
-        )
-        (shift,), e = exact._integer_rows([self.translation])
+        (shift,), e = self._shift
         p, q = form.b.numerator, form.b.denominator
-        return AffineForm(u=u_new, b=Fraction(e * p - q * sum(map(mul, form.u, shift)), q * e))
+        return _form(tuple(sum(map(mul, form.u, column)) for column in zip(*self.matrix_inverse)),
+                     Fraction(e * p - q * sum(map(mul, form.u, shift)), q * e))
 
     def apply_polytope(self, p: DelzantPolytope) -> DelzantPolytope:
         self._dimension(p.n, "polytope")
@@ -422,7 +435,7 @@ class UnimodularMap:
         with vertices sent to A (v - t) and edge generators to A g.  With
         t = T / E over a common denominator, the row (X, D) goes to
         (A (E X - D T), D E) in lowest terms."""
-        (shift,), e = exact._integer_rows([self.translation])
+        (shift,), e = self._shift
         rows = []
         for *x, d in p.vertex_rows:
             s = [e * c - d * t for c, t in zip(x, shift)]
@@ -430,12 +443,9 @@ class UnimodularMap:
         return _carry(p, mapped, order, rows, self.matrix)
 
     def inverse(self) -> "UnimodularMap":
-        a_inv = self.matrix_inverse
-        t_new = tuple(
-            -sum(row[j] * self.translation[j] for j in range(len(row)))
-            for row in self.matrix
-        )
-        return UnimodularMap(matrix=a_inv, translation=t_new)
+        """y -> A^{-1} (y + A t), the map x -> A' (x - t') with A' = A^{-1}, t' = -A t."""
+        t_new = tuple(-sum(map(mul, row, self.translation)) for row in self.matrix)
+        return UnimodularMap._certified(self.matrix_inverse, self.matrix, t_new)
 
 
 def _generator_slot(g: tuple[int, ...]) -> tuple:
@@ -453,7 +463,8 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
     vertex or its edge basis is not unimodular: exactly when the tight
     normals and the edge generators g_i are not dual bases, as they pair
     to a positive multiple of a permutation matrix.  The map's matrix is
-    then the inverse of the edge basis, row i the normal u with <u, g_i> = 1.
+    then the inverse of the edge basis, row i the normal u with <u, g_i> = 1:
+    the map is built from this certificate, with no elimination.
     """
     v = p._vertex_index(point)
     vertex = _point(p.vertex_rows[v])
@@ -465,7 +476,7 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
     if sorted(pairing) != sorted(basis):
         raise NotDelzantVertex(f"edge basis at {tuple(map(str, vertex))} is not unimodular")
     order = [pairing[e] for e in basis]
-    trans = UnimodularMap(matrix=tuple(p.forms[k].u for k in order), translation=vertex)
+    trans = UnimodularMap._certified(tuple(p.forms[k].u for k in order), tuple(zip(*gens)), vertex)
     order += [k for k in range(p.num_forms) if k not in order]
     return trans, trans._image(p, [trans.apply_form(f) for f in p.forms], order)
 
@@ -488,8 +499,12 @@ def _carry(p: DelzantPolytope, mapped, order, rows, matrix) -> DelzantPolytope:
     where = {k: i for i, k in enumerate(order)}
     ranked = sorted(range(len(rows)), key=_keys(rows).__getitem__)
     rank = {i: r for r, i in enumerate(ranked)}
-    edges = tuple(tuple(sorted((rank[j], g if matrix is None else tuple(sum(map(mul, row, g)) for row in matrix))
-                               for j, g in p._edges[i])) for i in ranked)
+    sent = {}  # (i, j) -> the image of the generator from vertex i toward j
+    for i, out in enumerate(p._edges):
+        for j, g in out:  # the generator from j toward i is -g: map each edge once
+            sent[i, j] = (g if matrix is None else tuple(-c for c in sent[j, i]) if j < i
+                          else tuple(sum(map(mul, row, g)) for row in matrix))
+    edges = tuple(tuple(sorted((rank[j], sent[i, j]) for j, _ in p._edges[i])) for i in ranked)
     return _record((mapped[k] for k in order), p.n, tuple(rows[i] for i in ranked),
                    tuple(frozenset(where[k] for k in p._incidences[i]) for i in ranked), edges)
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import exact, sampling
 from .curvature import AffineFit, affine_fit
 from .errors import MaxIterations, NotFano, OutOfFloatRange, QuadratureNotConverged
-from .polytope import AffineForm, DelzantPolytope, _carry, _cuts, _point
+from .polytope import DelzantPolytope, _carry, _cuts, _form, _point
 from .potential import SymplecticPotential, _tolerances, _vector, metric_jets
 
 NEWTON_TOL = 1e-10
@@ -74,7 +74,7 @@ def exact_volume(p: DelzantPolytope) -> Fraction:
         cell = [rows[i] for i in s]
         scale = prod(row[-1] for row in cell)
         common = lcm(den, scale)
-        num, den = num * (common // den) + abs(int(exact.det(cell))) * (common // scale), common
+        num, den = num * (common // den) + abs(exact._det(cell)) * (common // scale), common
     return Fraction(num, den * factorial(p.n))
 
 
@@ -206,7 +206,7 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
                     "so -K is not ample"
                 )
         model.append((*w, 1))
-    forms = [AffineForm(u=u, b=Fraction(-1)) for u in normals]
+    forms = [_form(u, Fraction(-1)) for u in normals]  # p's forms checked each u
     return FanoPolytope(_carry(p, forms, range(len(forms)), model, None))
 
 

@@ -238,3 +238,7 @@ def test_kernel_matches_fraction_elimination(rows):
     square = [row[: len(rows)] for row in rows[:ncols]]
     assert exact.det(square) == fraction_det(square)
     assert _inverse_or_none(square) == fraction_inverse(square)
+    # the integer determinant of the numerators, as the Delzant check and the volume use it
+    integral = [[Fraction(x).numerator for x in row] for row in square]
+    d = exact._det(integral)
+    assert type(d) is int and d == fraction_det(integral)

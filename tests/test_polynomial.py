@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torickit import Polynomial, polynomial_from_json
 
@@ -36,6 +38,57 @@ def test_diff():
     assert p.diff(0).diff(1) == Polynomial(2, {(1, 0): F(3)})
     assert p.derivative((0, 1)) == p.diff(0).diff(1)
     assert Polynomial.constant(2, 5).diff(0).is_zero
+
+
+def power_rule(p, i):
+    """d/dx_i of p term by term, as a coefficient dict in p's term order."""
+    out = {}
+    for e, c in p.coeffs.items():
+        if e[i]:
+            out[tuple(x - (j == i) for j, x in enumerate(e))] = c * e[i]
+    return out
+
+
+@st.composite
+def polynomials_and_indices(draw):
+    """A polynomial in 1..3 variables of up to 8 terms and a list of up to 6
+    variable indices."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeff = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+    p = Polynomial(nvars, draw(st.dictionaries(exps, coeff, max_size=8)))
+    return p, draw(st.lists(st.integers(0, nvars - 1), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials_and_indices())
+def test_derivative_matches_chained_diff(case):
+    """One pass equals one variable at a time, by the power rule, term for
+    term in the same order, so float evaluation sums the same terms."""
+    p, indices = case
+    want = p
+    for i in indices:
+        assert list(want.diff(i).coeffs.items()) == list(power_rule(want, i).items())
+        want = want.diff(i)
+    got = p.derivative(indices)
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert got.nvars == p.nvars and all(type(c) is F for c in got.coeffs.values())
+
+
+@pytest.mark.parametrize("index", [-1, 2, 5])
+def test_diff_refuses_an_index_outside_the_variables(index):
+    p = Polynomial(2, {(2, 1): F(1)})
+    message = rf"^variable index {index} outside 0\.\.1$"
+    with pytest.raises(ValueError, match=message):
+        p.diff(index)
+    with pytest.raises(ValueError, match=message):
+        p.derivative((0, index, 1))
+
+
+def test_derivative_refuses_a_non_integer_index():
+    for index in (1.0, True):
+        with pytest.raises(TypeError):
+            Polynomial(2, {(2, 1): F(1)}).derivative((index,))
 
 
 def test_degree_and_zero():

@@ -414,6 +414,84 @@ class TestTransport:
         assert r.affine_span_rank == want.affine_span_rank
 
 
+def types(x):
+    """The nested types of a lattice object's fields."""
+    return (type(x), [types(c) for c in x]) if isinstance(x, tuple) else type(x)
+
+
+def assert_checked_forms(forms):
+    """Each form equals, with the same types, the one its constructor checks."""
+    for f in forms:
+        checked = AffineForm(u=f.u, b=f.b)
+        assert f == checked and types((f.u, f.b)) == types((checked.u, checked.b))
+
+
+def assert_certified(m):
+    """A map built from a certificate equals, with the same types, the one
+    its constructor checks, and holds the inverse that an elimination gives."""
+    checked = UnimodularMap(m.matrix, m.translation)
+    assert m == checked and m.matrix_inverse == checked.matrix_inverse == exact.inverse(m.matrix)
+    assert types((m.matrix, m.matrix_inverse, m.translation)) == types(
+        (checked.matrix, checked.matrix_inverse, checked.translation))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytopes(), st.data())
+def test_certified_builds_match_checked_constructors(p, data):
+    """Images, vertex normalizations, Fano models and inverse maps are built
+    from their certificates without checking their forms or inverting their
+    matrices; what they hold must be what the checking constructors give."""
+    um = data.draw(lattice_maps(p.n))
+    assert_checked_forms(um.apply_polytope(p).forms)
+    inv = um.inverse()
+    assert_certified(inv)
+    assert_certified(inv.inverse())
+    assert inv.inverse() == um
+    for v in p.vertices:
+        try:
+            m, q = normalize_at_vertex(p, v)
+        except NotDelzantVertex:
+            continue
+        assert_certified(m)
+        assert_checked_forms(q.forms)
+    try:
+        assert_checked_forms(fano_normalize(p).base.forms)
+    except NotFano:
+        pass
+
+
+@pytest.mark.parametrize("p", [catalog("cube", 3), catalog("simplex", 3), catalog("blowup_cp2", 3),
+                               catalog("hirzebruch", 2), DelzantPolytope.from_forms(SQUARE_PYRAMID)],
+                         ids=["cube(3)", "simplex(3)", "blowup_cp2(3)", "hirzebruch(2)", "square pyramid"])
+def test_eliminations_outside_the_walk(monkeypatch, p):
+    """Lattice images, normalizations, Fano models and inverse maps eliminate
+    nothing; the Delzant check eliminates once per vertex with n edges (the
+    pyramid's apex has four) and the volume once per simplex."""
+    shear = {2: ((1, 1), (0, 1)), 3: ((1, 1, 0), (0, 1, 0), (0, 0, -1))}[p.n]
+    um = UnimodularMap(shear, (F(1, 2),) * p.n)
+    simplices = torickit.soliton._simplices(p)
+    calls = []
+    eliminate = exact._eliminate
+    monkeypatch.setattr(exact, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    for v in p.vertices:
+        try:
+            normalize_at_vertex(p, v)
+        except NotDelzantVertex:
+            pass
+    um.apply_polytope(p)
+    try:
+        fano_normalize(p)
+    except NotFano:
+        pass
+    um.inverse().inverse()
+    assert not calls
+    check_delzant(p)
+    assert len(calls) == sum(len(v.edge_generators) == p.n for v in p.vertices)
+    calls.clear()
+    exact_volume(p)
+    assert len(calls) == len(simplices)
+
+
 def lazily_built(q):
     """Check that the polytope q has not built its vertex data, then read
     the triangulation and the float vertices, which must not build them
