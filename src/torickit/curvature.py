@@ -203,6 +203,16 @@ def affine_fit(points, values) -> AffineFit:
     )
 
 
+def _affinity_fit(points, values) -> AffineFit:
+    """`affine_fit`, refusing the n + 1 samples or fewer that its n + 1
+    coefficients fit whatever their values (DegenerateSampleSet)."""
+    count, n = len(values), np.shape(np.atleast_2d(points))[1]
+    if count <= n + 1:
+        raise DegenerateSampleSet(
+            f"{count} sample points fit any values in dimension {n}: an affinity test needs {n + 2}")
+    return affine_fit(points, values)
+
+
 def extremality_check(
     pot: SymplecticPotential,
     grid: int = 20,
@@ -220,11 +230,12 @@ def extremality_from_samples(points, values, tol: float | None = None) -> tuple[
 
     The default tolerance is scale aware: 1e-6 times the larger of 1,
     the sample range, and the mean magnitude of s.  A tol given must be
-    positive and finite (ValueError).
+    positive and finite (ValueError); n + 1 samples or fewer refute nothing
+    (DegenerateSampleSet).
     """
     _tolerances(tol=tol)
     values = np.asarray(values, dtype=float)
-    fit = affine_fit(points, values)
+    fit = _affinity_fit(points, values)
     if tol is None:
         spread = float(values.max() - values.min())
         tol = AFFINITY_RTOL * max(1.0, spread, abs(float(values.mean())))

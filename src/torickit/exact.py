@@ -97,17 +97,18 @@ def parsing(where: str):
 
 
 def frac_str(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """'p' or 'p/q' in lowest terms."""
+    return str(Fraction(value))
 
 
 def _integer_rows(rows):
     """Rows scaled to integers by the lcm of their denominators; the product
-    of the scales.  TypeError for an entry that is not exact (see `_rational`)."""
+    of the scales.  TypeError for an entry that is not exact (see `_rational`),
+    ValueError, naming the lengths, for rows of unequal lengths."""
     out, scale = [], 1
     for row in rows:
+        if len(row) != len(rows[0]):
+            raise ValueError(f"rows of unequal lengths {[len(row) for row in rows]}")
         if all(type(x) is int for x in row):
             out.append(list(row))
             continue
@@ -212,6 +213,8 @@ def kernel_vector(rows, ncols: int):
 def affine_rank(points) -> int:
     """Dimension of the affine span of exact points: rank of the rows (1, p) less one."""
     rows = [(1, *p) for p in points]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"points of unequal lengths {[len(row) - 1 for row in rows]}")
     return rank(rows) - 1 if rows else 0
 
 

@@ -224,9 +224,9 @@ class DelzantPolytope:
     the integer row (X, D) of its point X / D, in lowest terms with D > 0,
     sorted by `_keys`; `_incidences`, the forms tight at each vertex;
     `_edges`, for each vertex the pairs (neighbour index, primitive edge
-    generator) in neighbour order; and `affine_span_rank`, n, as the walk
-    refuses a lower-dimensional polytope and an exact image keeps its
-    dimension.  `vertices` are built from it on first read.
+    generator) in neighbour order.  The vertices span dimension n, as the
+    walk refuses a lower-dimensional polytope and an exact image keeps its
+    dimension.  `vertices` are built from the record on first read.
     """
 
     @classmethod
@@ -340,17 +340,13 @@ def check_delzant(p: DelzantPolytope) -> DelzantReport:
     """Per-vertex smoothness audit: n facets, n edges, |det| = 1."""
     reports = []
     for i, v in enumerate(p.vertices):
-        facets = len(v.incident_facets)
-        edges = len(v.edge_generators)
-        d = None
-        if edges == p.n:
-            d = exact._det(v.edge_generators)
-        ok = facets == p.n and edges == p.n and d is not None and abs(d) == 1
-        reports.append(VertexReport(i, v.coordinates, facets, edges, d, ok))
+        facets, edges = len(v.incident_facets), len(v.edge_generators)
+        d = exact._det(v.edge_generators) if edges == p.n else None
+        reports.append(VertexReport(i, v.coordinates, facets, edges, d, facets == p.n and d in (1, -1)))
     return DelzantReport(
         vertex_reports=tuple(reports),
         is_delzant=all(r.ok for r in reports),
-        affine_span_rank=p.affine_span_rank,
+        affine_span_rank=p.n,
     )
 
 
@@ -360,8 +356,8 @@ def affine_span_rank(points) -> int:
 
 
 def vertices_affinely_span(p: DelzantPolytope) -> bool:
-    """True when the vertices affinely span the whole ambient space."""
-    return p.affine_span_rank == p.n
+    """True when the vertices affinely span the whole ambient space: their rows (X, D) have rank n + 1."""
+    return exact.rank(p.vertex_rows) - 1 == p.n
 
 
 @dataclass(frozen=True)
@@ -461,30 +457,43 @@ def normalize_at_vertex(p: DelzantPolytope, point) -> tuple[UnimodularMap, Delza
     the transformed polytope lists the n incident coordinate half spaces
     {x_i >= 0} first.  Raises NotDelzantVertex when the point is not a
     vertex or its edge basis is not unimodular: exactly when the tight
-    normals and the edge generators g_i are not dual bases, as they pair
-    to a positive multiple of a permutation matrix.  The map's matrix is
-    then the inverse of the edge basis, row i the normal u with <u, g_i> = 1:
-    the map is built from this certificate, with no elimination.
+    normals and the edge generators g_i are not dual bases (`_dual_facets`).
+    The map's matrix is then the inverse of the edge basis, row i the normal
+    of the facet that g_i leaves: the map is built from this certificate,
+    with no elimination.
     """
     v = p._vertex_index(point)
-    vertex = _point(p.vertex_rows[v])
-    gens = sorted((g for _, g in p._edges[v]), key=_generator_slot)
-    if len(gens) != p.n:
-        raise NotDelzantVertex(f"vertex {tuple(map(str, vertex))} has {len(gens)} edges, expected {p.n}")
-    pairing = {tuple(sum(map(mul, p.forms[k].u, g)) for g in gens): k for k in p._incidences[v]}
-    basis = [tuple(int(i == j) for j in range(p.n)) for i in range(p.n)]
-    if sorted(pairing) != sorted(basis):
+    vertex, edges = _point(p.vertex_rows[v]), p._edges[v]
+    if len(edges) != p.n:
+        raise NotDelzantVertex(f"vertex {tuple(map(str, vertex))} has {len(edges)} edges, expected {p.n}")
+    if (leaves := _dual_facets(p, v)) is None:
         raise NotDelzantVertex(f"edge basis at {tuple(map(str, vertex))} is not unimodular")
-    order = [pairing[e] for e in basis]
+    left = {g: k for (_, g), k in zip(edges, leaves)}
+    gens = sorted(left, key=_generator_slot)
+    order = [left[g] for g in gens]
     trans = UnimodularMap._certified(tuple(p.forms[k].u for k in order), tuple(zip(*gens)), vertex)
     order += [k for k in range(p.num_forms) if k not in order]
     return trans, trans._image(p, [trans.apply_form(f) for f in p.forms], order)
 
 
+def _dual_facets(p: DelzantPolytope, i: int) -> list[int] | None:
+    """The facet each edge at vertex i leaves, in neighbour order, when i has
+    n tight facets and n edges and their normals and generators are dual
+    lattice bases (Delzant's smoothness; Cox, Little and Schenck, 2.4), else
+    None.  The edge toward vertex j lies on every tight facet but the one in
+    _incidences[i] - _incidences[j], so its generator pairs to 0 with the
+    other tight normals and to a positive integer with that one: the bases
+    are dual exactly when each of these n pairings is 1."""
+    tight, edges = p._incidences[i], p._edges[i]
+    if len(tight) != p.n or len(edges) != p.n:
+        return None
+    leaves = [k for j, _ in edges for k in tight - p._incidences[j]]
+    return leaves if all(sum(map(mul, p.forms[k].u, g)) == 1 for k, (_, g) in zip(leaves, edges)) else None
+
+
 def _record(forms, n, rows, incidences, edges) -> DelzantPolytope:
     p = DelzantPolytope.__new__(DelzantPolytope)
-    vars(p).update(forms=tuple(forms), n=n, vertex_rows=rows, _incidences=incidences, _edges=edges,
-                   affine_span_rank=n)
+    vars(p).update(forms=tuple(forms), n=n, vertex_rows=rows, _incidences=incidences, _edges=edges)
     return p
 
 

@@ -17,9 +17,11 @@ rows of an (N, n) array: `metric_jets` feeds it in chunks and
 `metric_jet` is its one-row case.  h enters through its partials,
 compiled once per order into exponent and weight arrays.  No 2-D matmul
 runs over the rows (BLAS rounds one row and many differently): einsum
-contracts each row alone, so a point's jet is its row of any batch.
-Each chunk keeps the Cholesky factor of G; G^{-1} is built on first
-read, and q = a^T G^{-1} a comes from the factor without it.
+contracts each row alone, so a point's jet is its row of any batch,
+and a failing chunk names its first failing row with that row's own
+payload, with no point-by-point replay.  Each chunk keeps the Cholesky
+factor of G; G^{-1} is built on first read, and q = a^T G^{-1} a comes
+from the factor without it.
 
 The inverse metric G^{-1} extends continuously by zero to the vertices,
 and 1/det G factors as delta(x) * prod_k lambda_k(x) with delta smooth
@@ -224,17 +226,18 @@ def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool
     lambda, then the derivatives of g of order 2 to 4 in closed form,
         order r:  (1/2) (-1)^r (r-2)! sum_k u_k^{(r)} / lambda_k^{r-1}
                   + (1/2) (order-r partials of h),
-    then a batched Cholesky certificate, kept with det G.  Raises
-    OutsideDomain for the first row with some lambda_k <= 0, else
-    NotPositiveDefinite for the first row whose smallest eigenvalue is not
-    positive.
+    then a batched Cholesky certificate, kept with det G.  Errors name the
+    first failing row, as one row at a time would: with `end` the first row
+    with some lambda_k <= 0, NotPositiveDefinite for the first row before
+    it whose smallest eigenvalue is not positive, else OutsideDomain at end.
     """
     lam = pot.polytope.lambdas(x)
     bad = lam <= 0
     if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        k = int(np.argmax(bad[i]))
-        raise OutsideDomain(x[i], k, lam[i, k])
+        end = int(np.argmax(bad.any(axis=1)))
+        _metric_rows(pot, x[:end], False)   # the rows before end, certified first
+        k = int(np.argmax(bad[end]))
+        raise OutsideDomain(x[end], k, lam[end, k])
     powers = pot._normal_powers(4 if with_derivatives else 2)
     derivs = []
     for r in range(2, len(powers)):
@@ -265,22 +268,14 @@ def metric_jets(pot: SymplecticPotential, points, with_derivatives: bool = False
     """Metric data over the rows of `points`: one MetricBatch per chunk of
     at most _CHUNK rows, in input order.
 
-    Errors are those of calling `metric_jet` point by point: OutsideDomain
-    or NotPositiveDefinite for the first failing row, with its payload.
+    Errors are those of calling `metric_jet` point by point: the chunk
+    names its first failing row (see `_metric_rows`), with its payload.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim < 2:  # one point, or an empty list of points
         pts = pts.reshape(min(pts.size, 1), pot.n)
     for start in range(0, max(len(pts), 1), _CHUNK):
-        rows = pts[start : start + _CHUNK]
-        try:
-            batch = _metric_rows(pot, rows, with_derivatives)
-        except (OutsideDomain, NotPositiveDefinite):
-            # replay the chunk point by point: the first failing row raises
-            for x in rows:
-                metric_jet(pot, x)
-            raise
-        yield batch
+        yield _metric_rows(pot, pts[start : start + _CHUNK], with_derivatives)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from operator import mul
 import numpy as np
 
 from . import exact, sampling
-from .curvature import AffineFit, affine_fit
+from .curvature import AffineFit, _affinity_fit
 from .errors import MaxIterations, NotFano, OutOfFloatRange, QuadratureNotConverged
-from .polytope import DelzantPolytope, _carry, _cuts, _form, _point
+from .polytope import DelzantPolytope, _carry, _cuts, _dual_facets, _form, _point
 from .potential import SymplecticPotential, _tolerances, _vector, metric_jets
 
 NEWTON_TOL = 1e-10
@@ -169,8 +169,8 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
 
     Its vertices follow from p's by an exact certificate.  Let v be a
     vertex of p with tight forms I and edge generators g_1..g_n.  When
-    <u_k, g_j> (k in I) is a permutation matrix, the tight normals and the
-    generators are dual lattice bases, and w_v = -sum_j g_j solves
+    the tight normals and the generators are dual lattice bases
+    (`_dual_facets`), w_v = -sum_j g_j solves
     <u_k, w_v> = -1 for k in I.  When besides <u_k, w_v> > -1 for every
     other k, at every vertex, the offsets -1 are strictly convex on the
     complete simplicial fan of p: the model is ample on that fan (Cox,
@@ -181,23 +181,20 @@ def fano_normalize(p: DelzantPolytope) -> FanoPolytope:
     the test that failed there.
     """
     n, normals = p.n, [f.u for f in p.forms]
-    basis = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
     model = []  # the vertex rows (w_v, 1)
 
     def at(vertex):  # made only for a message, so only on failure
         return f"vertex {tuple(map(str, _point(vertex)))} of p"
 
-    for vertex, facets, edges in zip(p.vertex_rows, p._incidences, p._edges):
-        gens = [g for _, g in edges]
-        if len(facets) != n or len(gens) != n:
+    for i, (vertex, facets, edges) in enumerate(zip(p.vertex_rows, p._incidences, p._edges)):
+        if len(facets) != n or len(edges) != n:
             raise NotFano(
-                f"{at(vertex)} has {len(facets)} facets and {len(gens)} edges, "
+                f"{at(vertex)} has {len(facets)} facets and {len(edges)} edges, "
                 f"not {n}: p is not simple there"
             )
-        rows = [tuple(sum(map(mul, normals[k], g)) for g in gens) for k in facets]
-        if sorted(rows) != basis:
+        if _dual_facets(p, i) is None:
             raise NotFano(f"at {at(vertex)} the tight normals and the edge generators are not dual bases")
-        w = [-sum(c) for c in zip(*gens)]
+        w = [-sum(c) for c in zip(*(g for _, g in edges))]
         for k, u in enumerate(normals):
             value = sum(map(mul, u, w))
             if k not in facets and value <= -1:
@@ -343,18 +340,21 @@ def einstein_verdict_from_samples(
     Steps: (1) affine fit of q; failure of affinity means the metric
     cannot satisfy the soliton hypothesis (HypothesisFails).  (2) the
     fitted affine function must vanish at every vertex.  (3) the
-    vertices must affinely span.  (4) q itself must be as small as the
-    zero affine function predicts.  Steps 2-4 cannot fail for genuine
-    metric data, so their failure yields Inconclusive.  OutOfFloatRange when
-    q, the fit's vertex values or the zero bound is not finite; ValueError
-    for a tolerance given that is not positive and finite.
+    vertices affinely span, as every DelzantPolytope's do.  (4) q itself
+    must be as small as the zero affine function predicts.  Steps 2 and 4
+    cannot fail for genuine metric data, so their failure yields
+    Inconclusive.  DegenerateSampleSet for n + 1 samples or fewer, which
+    leave the fit no residual; OutOfFloatRange when q, the fit's vertex
+    values or the zero bound is not finite; ValueError for a tolerance
+    given that is not positive and finite.
     """
     _tolerances(affinity_tol=affinity_tol, vertex_tol=vertex_tol)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise OutOfFloatRange("q is not finite at every sample")
-    low, high = (float(vals.min()), float(vals.max())) if len(vals) else (0.0, 0.0)
+    fit = _affinity_fit(pts, vals)
+    low, high = float(vals.min()), float(vals.max())
     spread, scale = high - low, abs(max(high, -low))    # scale = max |q|
     if affinity_tol is None:
         # floor keeps exactly-constant data from tripping on lstsq noise
@@ -362,16 +362,12 @@ def einstein_verdict_from_samples(
     if vertex_tol is None:
         vertex_tol = 1e-6 * max(1.0, spread)
 
-    fit = affine_fit(pts, vals)
     affine_ok = fit.max_residual <= affinity_tol
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
         vertex_values = polytope.vertex_floats @ fit.gradient + fit.constant
     vertex_worst = float(np.max(np.abs(vertex_values)))
     vertex_ok = vertex_worst <= vertex_tol
-
-    rank = polytope.affine_span_rank
-    rank_ok = rank == polytope.n
 
     zero_bound = polytope.n * vertex_tol * (1.0 + hypot(fit.constant, *fit.gradient))
     if not (np.all(np.isfinite(vertex_values)) and isfinite(zero_bound)):
@@ -380,38 +376,22 @@ def einstein_verdict_from_samples(
 
     if not affine_ok:
         conclusion = Conclusion.HYPOTHESIS_FAILS
-    elif vertex_ok and rank_ok and zero_ok:
+    elif vertex_ok and zero_ok:
         conclusion = Conclusion.EINSTEIN
     else:
         conclusion = Conclusion.INCONCLUSIVE
 
     certificates = {
-        "affinity": {
-            "max_residual": fit.max_residual,
-            "tolerance": affinity_tol,
-            "passed": bool(affine_ok),
-        },
-        "vertex_vanishing": {
-            "max_abs_value": vertex_worst,
-            "tolerance": vertex_tol,
-            "passed": vertex_ok,
-        },
-        "affine_span": {
-            "rank": int(rank),
-            "required": int(polytope.n),
-            "passed": bool(rank_ok),
-        },
-        "zero_function": {
-            "max_abs_q": scale,
-            "bound": zero_bound,
-            "passed": bool(zero_ok),
-        },
+        "affinity": {"max_residual": fit.max_residual, "tolerance": affinity_tol, "passed": bool(affine_ok)},
+        "vertex_vanishing": {"max_abs_value": vertex_worst, "tolerance": vertex_tol, "passed": vertex_ok},
+        "affine_span": {"rank": int(polytope.n), "required": int(polytope.n), "passed": True},
+        "zero_function": {"max_abs_q": scale, "bound": zero_bound, "passed": bool(zero_ok)},
     }
     return EinsteinVerdict(
         conclusion=conclusion,
         fit=fit,
         vertex_values=vertex_values,
-        rank=rank,
+        rank=polytope.n,
         certificates=certificates,
     )
 

@@ -190,6 +190,15 @@ class TestCurvature:
         assert doc["is_extremal"] is False
         assert doc["affine_fit"]["max_residual"] > 1e-2
 
+    @pytest.mark.parametrize("name, margin, n", [("simplex(1)", "1e-300", 1), ("simplex(2)", "0.2", 2)])
+    def test_n_plus_one_samples_are_refused(self, capsys, name, margin, n):
+        # 3-point grids keep n + 1 points here, which fit any s exactly: these
+        # once exited 0, simplex(1) reading is_extremal true
+        rc, out, err = run(capsys, "curvature", "--catalog", name, "--grid", "3", "--margin", margin)
+        assert (rc, out) == (1, "")
+        assert err == (f"error: DegenerateSampleSet: {n + 1} sample points fit any values in dimension {n}: "
+                       f"an affinity test needs {n + 2}\n")
+
     def test_csv_shape(self, capsys):
         rc, out, _ = run(
             capsys, "curvature", "--catalog", "simplex(2)", "--format", "csv"

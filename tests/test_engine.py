@@ -31,6 +31,7 @@ from torickit import (
     soliton_identity_residual,
 )
 from torickit import sampling
+import torickit.potential
 
 import oracles
 from strategies import lattice_maps
@@ -166,8 +167,7 @@ class TestBatchErrors:
         assert got.value.eigenvalue == one.value.eigenvalue < 0
 
     def test_an_earlier_indefinite_row_beats_a_later_exterior_one(self):
-        # the chunk fails on the exterior row first; the point-by-point
-        # replay finds the indefinite row before it
+        # the exterior row is found first; the indefinite row before it is named
         pot = SymplecticPotential(catalog("simplex", 1), Polynomial(1, {(2,): F(-4)}))
         with pytest.raises(NotPositiveDefinite) as one:
             metric_jet(pot, [0.45])
@@ -175,6 +175,26 @@ class TestBatchErrors:
             batch(pot, [[0.05], [0.45], [1.5]], "G")
         assert (got.value.point, got.value.eigenvalue) == (one.value.point, one.value.eigenvalue)
         assert got.value.point == (0.45,)
+
+    @pytest.mark.parametrize("with_derivatives", [False, True])
+    def test_the_batch_names_the_failing_row_without_a_replay(self, monkeypatch, with_derivatives):
+        # h = -4 x^2: G is indefinite at 0.45, and 1.5 lies outside
+        pot = SymplecticPotential(catalog("simplex", 1), Polynomial(1, {(2,): F(-4)}))
+        one = {}
+        for x, error in ((0.45, NotPositiveDefinite), (1.5, OutsideDomain)):
+            with pytest.raises(error) as got:
+                metric_jet(pot, [x])
+            one[x] = got.value
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("metric_jet called")
+
+        monkeypatch.setattr(torickit.potential, "metric_jet", refuse)
+        for first, second in ((0.45, 1.5), (1.5, 0.45)):
+            rows = [[0.05]] * 100 + [[first], [0.97], [second]]
+            with pytest.raises(type(one[first])) as got:
+                list(metric_jets(pot, rows, with_derivatives))
+            assert vars(got.value) == vars(one[first]) and str(got.value) == str(one[first])
 
 
 def test_empty_point_list():

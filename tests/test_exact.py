@@ -163,6 +163,17 @@ def test_affine_rank():
     assert exact.affine_rank([(Fraction(5), Fraction(7))]) == 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: affine_span_rank([(0, 0), (1,)]),
+    lambda: affine_span_rank([(0,), (1, 0)]),
+    lambda: exact.rank([[1, 2], [3]]),
+    lambda: exact.kernel_vector([[1, 2], [3]], 2),
+])
+def test_kernel_refuses_ragged_rows(call):
+    with pytest.raises(ValueError, match=r"^(rows|points) of unequal lengths \[(2, 1|1, 2)\]$"):
+        call()
+
+
 def test_primitive():
     assert exact.primitive((Fraction(2), Fraction(4))) == (1, 2)
     assert exact.primitive((Fraction(-3), Fraction(6))) == (-1, 2)

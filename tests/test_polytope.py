@@ -256,7 +256,6 @@ class TestAffineSpan:
         assert vertices_affinely_span(catalog_polytope)
         rank = affine_span_rank([v.coordinates for v in catalog_polytope.vertices])
         assert rank == catalog_polytope.n
-        assert catalog_polytope.affine_span_rank == rank
         assert check_delzant(catalog_polytope).affine_span_rank == rank
 
 
@@ -371,7 +370,7 @@ class TestUnimodularMap:
             um.apply_point(v.coordinates) for v in p.vertices
         )
         assert exact_volume(q) == exact_volume(p)
-        assert after.affine_span_rank == q.affine_span_rank == affine_span_rank(
+        assert after.affine_span_rank == q.n == affine_span_rank(
             [v.coordinates for v in q.vertices]
         )
 
@@ -399,7 +398,7 @@ class TestTransport:
         want = DelzantPolytope.from_forms([um.apply_form(f) for f in p.forms], p.n)
         assert q.forms == want.forms
         assert vertex_fields(q) == vertex_fields(want)
-        assert q.affine_span_rank == want.affine_span_rank
+        assert vertices_affinely_span(q)
 
         v = data.draw(st.sampled_from(q.vertices))
         try:
@@ -411,7 +410,7 @@ class TestTransport:
         want = DelzantPolytope.from_forms(basis + [f for f in mapped if f not in basis], p.n)
         assert r.forms == want.forms
         assert vertex_fields(r) == vertex_fields(want)
-        assert r.affine_span_rank == want.affine_span_rank
+        assert vertices_affinely_span(r)
 
 
 def types(x):
@@ -549,7 +548,7 @@ class TestLazyCarry:
             fp = fano_normalize(p)
             a = soliton_vector(fp).a
             polytope_integral(fp, a, "xx")
-            verify_einstein(SymplecticPotential.guillemin(fp.base), a, grid=6)
+            verify_einstein(SymplecticPotential.guillemin(fp.base), a, grid=7)  # 6 keeps n + 1 points on simplex(3)
             assert "vertices" not in vars(p), entry
             assert "vertices" not in vars(fp.base), entry
 
@@ -588,13 +587,12 @@ def builds(p, data):
 @settings(max_examples=100, deadline=None)
 @given(polytopes(), st.data())
 def test_builders_hand_over_integer_rows(p, data):
-    """Every builder hands its vertices' integer rows and its span rank to
-    the polytope; they must be the rows of its Fraction coordinates and
-    their span rank, which is n."""
+    """Every builder hands its vertices' integer rows to the polytope; they
+    must be the rows of its Fraction coordinates, which span dimension n."""
     for r in builds(p, data):
-        assert {"vertex_rows", "affine_span_rank"} <= vars(r).keys()  # handed over, not derived
+        assert "vertex_rows" in vars(r)  # handed over, not derived
         assert r.vertex_rows == integer_rows(r)
-        assert r.affine_span_rank == r.n == fraction_affine_rank([v.coordinates for v in r.vertices])
+        assert vertices_affinely_span(r) and r.n == fraction_affine_rank([v.coordinates for v in r.vertices])
 
 
 @settings(max_examples=100, deadline=None)

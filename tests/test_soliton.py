@@ -27,6 +27,7 @@ from torickit import (
     CATALOG_DEFAULTS,
     AffineForm,
     Conclusion,
+    DegenerateSampleSet,
     DelzantPolytope,
     FanoPolytope,
     MaxIterations,
@@ -38,8 +39,10 @@ from torickit import (
     NotPositiveDefinite,
     Polynomial,
     catalog,
+    check_delzant,
     einstein_verdict_from_samples,
     exact_volume,
+    extremality_from_samples,
     fano_normalize,
     interior_grid,
     interior_rays,
@@ -49,7 +52,9 @@ from torickit import (
     soliton_vector,
     triangulate,
     verify_einstein,
+    vertices_affinely_span,
 )
+from torickit.polytope import _dual_facets
 
 F = Fraction
 
@@ -399,7 +404,32 @@ def test_certified_model_matches_the_walk(p):
     fields = [[(v.coordinates, v.incident_facets, v.edge_generators) for v in q.vertices] for q in (got, want)]
     assert fields[0] == fields[1]
     assert all(type(c) is F for v in got.vertices for c in v.coordinates)
-    assert got.affine_span_rank == want.affine_span_rank
+    assert vertices_affinely_span(got)
+
+
+@st.composite
+def polytopes_and_images(draw):
+    p = draw(polytopes())
+    return draw(lattice_maps(p.n)).apply_polytope(p) if draw(st.booleans()) else p
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes_and_images())
+@example(DelzantPolytope.from_forms(SQUARE_PYRAMID, 3))
+@example(DelzantPolytope.from_forms(OCTAHEDRON, 3))
+@example(DET_TWO_TRIANGLE)
+@example(DEGREE_TWO_FAN)
+def test_the_smoothness_certificate_is_the_delzant_audit(p):
+    """At every vertex the dual-basis certificate holds exactly when
+    check_delzant's edge determinant is +-1 with n facets and n edges; the
+    facets it names are those the generators pair with to 1, the others to 0."""
+    for i, report in enumerate(check_delzant(p).vertex_reports):
+        leaves = _dual_facets(p, i)
+        assert (leaves is not None) == report.ok
+        if leaves is not None:
+            tight = sorted(p._incidences[i])
+            for (_, g), left in zip(p._edges[i], leaves):
+                assert [sum(a * b for a, b in zip(p.forms[k].u, g)) for k in tight] == [int(k == left) for k in tight]
 
 
 class TestMomentCache:
@@ -628,13 +658,22 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("name, params", [("cube", (4,)), ("blowup_cp2", (3,)), ("hirzebruch", (1,))])
     def test_verdict_on_a_model_eliminates_nothing(self, monkeypatch, name, params):
-        # the model carries p's span rank; the vertex test reads it
+        # the span rank is n, read from the polytope
         pot = SymplecticPotential(fano_normalize(catalog(name, *params)).base)
         calls = []
         eliminate = exact._eliminate
         monkeypatch.setattr(exact, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
         assert verify_einstein(pot, [0.0] * pot.n, grid=4).conclusion is Conclusion.EINSTEIN
         assert calls == []
+
+    def test_n_plus_one_samples_are_refused(self):
+        # 4 grid points on simplex(3)'s model fit any q exactly: affinity once
+        # passed here at residual 2.8e-17 and the verdict read Inconclusive
+        pot = SymplecticPotential.guillemin(fano_normalize(catalog("simplex", 3)).base)
+        a = [0.3, 0.1, -0.2]
+        with pytest.raises(DegenerateSampleSet, match="^4 sample points fit any values in dimension 3: .* needs 5$"):
+            verify_einstein(pot, a, grid=6)
+        assert verify_einstein(pot, a, grid=7).conclusion is Conclusion.HYPOTHESIS_FAILS
 
     def test_zero_samples_recover_zero_coefficients(self):
         # an affine function vanishing on all square vertices is zero
@@ -674,6 +713,22 @@ class TestVerdicts:
             "certificates",
         }
         assert doc["conclusion"] == "Einstein"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 3))), st.integers(0, 2**32 - 1))
+def test_no_affinity_passes_without_a_residual(shape, seed):
+    """n + 1 samples or fewer fit any values exactly, so both affinity tests
+    refuse them; from n + 2 on they decide."""
+    n, count = shape
+    rng = np.random.default_rng(seed)
+    pts, vals, cube = rng.uniform(0.1, 0.9, size=(count, n)), rng.normal(size=count), catalog("cube", n)
+    for test in (lambda: extremality_from_samples(pts, vals), lambda: einstein_verdict_from_samples(cube, pts, vals)):
+        if count <= n + 1:
+            with pytest.raises(DegenerateSampleSet, match=f"dimension {n}: an affinity test needs {n + 2}$"):
+                test()
+        else:
+            test()
 
 
 def _recorded_verdict(monkeypatch, pot, a, grid):
@@ -748,9 +803,9 @@ class TestBatchedVerdict:
             pot = SymplecticPotential.guillemin(fp.base)
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "inv", refuse)
-                verdict = verify_einstein(pot, a, grid=6)
-                torickit.potential.det_factorization_check(pot, interior_grid(fp.base, 6))
-            assert verdict.fit.n_samples == len(interior_grid(fp.base, 6)), entry
+                verdict = verify_einstein(pot, a, grid=7)  # 6 keeps n + 1 points on simplex(3)
+                torickit.potential.det_factorization_check(pot, interior_grid(fp.base, 7))
+            assert verdict.fit.n_samples == len(interior_grid(fp.base, 7)), entry
 
     def test_success_never_takes_the_one_point_route(self, monkeypatch):
         def refuse(*args, **kwargs):
