@@ -25,6 +25,7 @@ however large the polytope, as
     s = sum_a Q_aa^2 / lambda_a
         - 1/4 sum_ab (Q_ab^3 + Q_aa Q_ab Q_bb) / sqrt(lambda_a lambda_b),
 
+with Q = W G^{-1} W^T, W = Lambda^{-1/2} U, from G's Cholesky factor,
 and a perturbed potential the jet formula above.  All routes run in
 batches from `metric_jets`, each finite-difference stencil too; one
 point is a batch of one row.  Canonical potentials give s = 4 on the
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import sampling
 from .errors import DegenerateSampleSet
-from .potential import _CHUNK, MetricBatch, SymplecticPotential, _tolerances, _vector, metric_jet, metric_jets
+from .potential import _CHUNK, MetricBatch, SymplecticPotential, _tolerances, _vector, metric_jets
 
 FD_STEP_FRACTION = 24.0       # step = interior distance / 24
 FD_MARGIN_FACTOR = 10.0       # require distance >= 10 * step
@@ -56,16 +57,15 @@ def scalar_curvature(pot: SymplecticPotential, x) -> float:
 
 def _curvature_rows(pot: SymplecticPotential, b: MetricBatch) -> np.ndarray:
     """Analytic scalar curvature at every row of a batch."""
-    gi = b.G_inv
     if pot.h.is_zero:
         r = 1.0 / np.sqrt(b.lam)                    # lambda_a^{-1/2}
-        w = r[:, :, None] * pot.polytope.normals_float
-        q = w @ gi @ w.swapaxes(1, 2)
+        q = b.inverse_form(r[:, :, None] * pot.polytope.normals_float)
         d = np.diagonal(q, axis1=1, axis2=2)
         # no q**3: numpy cubes negative bases, as off-diagonal Q_ab are, on a scalar path ~35x slower
         cubic = q * (q * q + d[:, :, None] * d[:, None, :])
         # a stacked matmul: einsum sums r^T cubic r differently for one row
         return np.sum(d**2 * r**2, axis=1) - 0.25 * (r[:, None, :] @ cubic @ r[:, :, None])[:, 0, 0]
+    gi = b.G_inv
     a = gi[:, None] @ b.dG @ gi[:, None]        # a[:, k] = G^-1 (d_k G) G^-1
     return (
         np.einsum("pjc,pkjcd,pdk->p", gi, b.d2G, gi)
@@ -143,7 +143,7 @@ def scalar_curvatures_fd(
     values = [_fd_rows(pot, good[i : i + group], good_steps[i : i + group], levels) for i in range(0, end, group)]
     if end < len(pts):
         if dist[end] <= 0:
-            metric_jet(pot, pts[end])       # OutsideDomain, naming the first violated form
+            next(metric_jets(pot, pts[end]))    # OutsideDomain, naming the first violated form
         raise ValueError(
             f"finite-difference step {steps[end]:.3e} too large for interior "
             f"distance {dist[end]:.3e} (need distance >= {FD_MARGIN_FACTOR}x step)"
@@ -203,10 +203,14 @@ def affine_fit(points, values) -> AffineFit:
     )
 
 
-def _affinity_fit(points, values) -> AffineFit:
+def _affinity_fit(points, values, n: int | None = None) -> AffineFit:
     """`affine_fit`, refusing the n + 1 samples or fewer that its n + 1
-    coefficients fit whatever their values (DegenerateSampleSet)."""
-    count, n = len(values), np.shape(np.atleast_2d(points))[1]
+    coefficients fit whatever their values (DegenerateSampleSet).  n is the
+    polytope's dimension when given, else the points'; points without
+    coordinates have none to name, and are refused."""
+    count, n = len(values), n or np.shape(np.atleast_2d(points))[1]
+    if not n:
+        raise DegenerateSampleSet("sample points without coordinates: an affinity test in dimension n needs n + 2")
     if count <= n + 1:
         raise DegenerateSampleSet(
             f"{count} sample points fit any values in dimension {n}: an affinity test needs {n + 2}")
@@ -248,7 +252,7 @@ def soliton_identity_residual(pot: SymplecticPotential, a, points) -> tuple[floa
     a = _vector(a, pot.n)
     vals = np.concatenate(
         [
-            _curvature_rows(pot, b) + np.einsum("i,pij,j->p", a, b.G_inv, a) + 2.0 * (b.x @ a)
+            _curvature_rows(pot, b) + b.inverse_form(a) + 2.0 * (b.x @ a)
             for b in metric_jets(pot, points, with_derivatives=not pot.h.is_zero)
         ]
     )

@@ -20,8 +20,8 @@ runs over the rows (BLAS rounds one row and many differently): einsum
 contracts each row alone, so a point's jet is its row of any batch,
 and a failing chunk names its first failing row with that row's own
 payload, with no point-by-point replay.  Each chunk keeps the Cholesky
-factor of G; G^{-1} is built on first read, and q = a^T G^{-1} a comes
-from the factor without it.
+factor of G, which gives every quadratic form of G^{-1} by forward
+substitution; G^{-1} itself is built on first read.
 
 The inverse metric G^{-1} extends continuously by zero to the vertices,
 and 1/det G factors as delta(x) * prod_k lambda_k(x) with delta smooth
@@ -189,18 +189,22 @@ def metric_jet(pot: SymplecticPotential, x, with_derivatives: bool = False) -> M
 class MetricBatch:
     """Metric data at N points: every field carries a leading row axis.
 
-    lam holds the defining forms, chol the Cholesky factors L of G = L L^T,
-    det_G = prod diag(L)^2; dG and d2G are the third and fourth derivatives
-    of g, present when requested.  G_inv is built on first read.
+    lam holds the defining forms, chol the Cholesky factors L of G = L L^T;
+    dG and d2G are the third and fourth derivatives of g, present when
+    requested.  det_G and G_inv are built on first read.
     """
 
     x: np.ndarray
     lam: np.ndarray
     G: np.ndarray
     chol: np.ndarray
-    det_G: np.ndarray
     dG: np.ndarray | None
     d2G: np.ndarray | None
+
+    @cached_property
+    def det_G(self) -> np.ndarray:
+        """det G = prod diag(L)^2."""
+        return np.prod(np.diagonal(self.chol, axis1=1, axis2=2), axis=1) ** 2
 
     @cached_property
     def G_inv(self) -> np.ndarray:
@@ -211,13 +215,13 @@ class MetricBatch:
         return 0.5 * (g_inv + g_inv.swapaxes(1, 2))
 
     def inverse_form(self, a: np.ndarray) -> np.ndarray:
-        """q = a^T G^{-1} a = |y|^2 at every row, L y = a solved by forward
-        substitution, backward stable (Higham, Accuracy and Stability of
-        Numerical Algorithms, 2nd ed., ch. 10); einsum contracts each row alone."""
-        y = np.empty(self.chol.shape[:2])
-        for i, low in enumerate(self.chol.swapaxes(0, 1)):     # y_i = (a_i - sum_{k<i} L_ik y_k) / L_ii
-            y[:, i] = (a[i] - np.einsum("pk,pk->p", low[:, :i], y[:, :i])) / low[:, i]
-        return np.einsum("pi,pi->p", y, y)
+        """a^T G^{-1} a = |y|^2 at every row, L y = a; or A G^{-1} A^T = Y^T Y for rows A
+        of shape (N, m, n), L Y = A^T.  Forward substitution is backward stable (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 8); einsum contracts each row alone."""
+        y = np.empty(self.chol.shape[:2] + a.shape[1:-1])     # (N, n), or (N, n, m) for rows A
+        for i, low in enumerate(self.chol.swapaxes(0, 1)):     # y_i = (a_i - sum_{k<i} L_ik y_k) / L_ii; .T puts rows last
+            y[:, i] = ((a[..., i] - np.einsum("pk,pk...->p...", low[:, :i], y[:, :i])).T / low[:, i]).T
+        return np.einsum("pi,pi->p", y, y) if a.ndim == 1 else np.einsum("pia,pib->pab", y, y)
 
 
 def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool) -> MetricBatch:
@@ -245,8 +249,7 @@ def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool
         if not pot.h.is_zero:
             d = d + 0.5 * pot._h_rows(r, x)
         derivs.append(d.reshape((len(x),) + (pot.n,) * r))
-    g = derivs[0]
-    g = 0.5 * (g + g.swapaxes(1, 2))
+    g = derivs[0]       # exactly symmetric: u_i u_j = u_j u_i, and h's partials gather by sorted index
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -258,7 +261,6 @@ def _metric_rows(pot: SymplecticPotential, x: np.ndarray, with_derivatives: bool
         lam=lam,
         G=g,
         chol=chol,
-        det_G=np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1) ** 2,
         dG=derivs[1] if with_derivatives else None,
         d2G=derivs[2] if with_derivatives else None,
     )

@@ -353,7 +353,7 @@ def einstein_verdict_from_samples(
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise OutOfFloatRange("q is not finite at every sample")
-    fit = _affinity_fit(pts, vals)
+    fit = _affinity_fit(pts, vals, polytope.n)
     low, high = float(vals.min()), float(vals.max())
     spread, scale = high - low, abs(max(high, -low))    # scale = max |q|
     if affinity_tol is None:

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,13 @@ def test_runs_on_numpy_alone():
     proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "HypothesisFails\n"  # the Guillemin metric of a non-Einstein soliton
+
+
+def test_readme_examples_run():
+    """README's python blocks run, in order, as one script."""
+    root = Path(__file__).parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(), re.S | re.M)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", "".join(blocks)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Conclusion.HYPOTHESIS_FAILS\n"

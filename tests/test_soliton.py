@@ -731,6 +731,17 @@ def test_no_affinity_passes_without_a_residual(shape, seed):
             test()
 
 
+def test_an_empty_sample_set_names_only_a_dimension_it_knows():
+    # the verdict knows its polytope's n; samples without coordinates give none
+    with pytest.raises(DegenerateSampleSet) as bare:
+        extremality_from_samples([], [])
+    assert str(bare.value) == "sample points without coordinates: an affinity test in dimension n needs n + 2"
+    for n in (1, 2, 4):
+        with pytest.raises(DegenerateSampleSet) as verdict:
+            einstein_verdict_from_samples(catalog("cube", n), [], [])
+        assert str(verdict.value) == f"0 sample points fit any values in dimension {n}: an affinity test needs {n + 2}"
+
+
 def _recorded_verdict(monkeypatch, pot, a, grid):
     """verify_einstein's verdict together with the q samples it fitted."""
     seen = {}
