@@ -199,9 +199,7 @@ def cmd_verify(args) -> int:
             raise ParseError(f"-a components must be finite, got {args.a}")
     else:
         raise ParseError("one of -a or --from-soliton is required")
-    verdict = verify_einstein(
-        pot, a, grid=args.grid, margin=args.margin, affinity_tol=args.tol, vertex_tol=args.tol
-    )
+    verdict = verify_einstein(pot, a, grid=args.grid, margin=args.margin, tol=args.tol)
     doc = {"config": config, "a": [float(c) for c in a], **verdict.to_json()}
     header = (
         ["conclusion", "constant"]

@@ -42,11 +42,12 @@ from functools import cache
 import numpy as np
 
 from . import sampling
-from .errors import DegenerateSampleSet
-from .potential import _CHUNK, MetricBatch, SymplecticPotential, _tolerances, _vector, metric_jets
+from .errors import DegenerateSampleSet, OutOfFloatRange
+from .potential import _CHUNK, MetricBatch, SymplecticPotential, _tolerance, _vector, metric_jets
 
-FD_STEP_FRACTION = 24.0       # step = interior distance / 24
-FD_MARGIN_FACTOR = 10.0       # require distance >= 10 * step
+FD_STEP_FRACTION = 24.0       # step h = interior distance / 24
+FD_LEVELS = 2                 # Richardson levels: steps h, h/2, h/4
+FD_TOL = 1e-5                 # fd_cross_validate: largest relative error
 AFFINITY_RTOL = 1e-6
 
 
@@ -80,9 +81,9 @@ def scalar_curvatures(pot: SymplecticPotential, points) -> np.ndarray:
     return np.concatenate([_curvature_rows(pot, b) for b in batches])
 
 
-def scalar_curvature_fd(pot: SymplecticPotential, x, step: float | None = None, levels: int = 2) -> float:
+def scalar_curvature_fd(pot: SymplecticPotential, x) -> float:
     """Finite-difference scalar curvature at one point: the one-row batch."""
-    return float(scalar_curvatures_fd(pot, [x], step, levels)[0])
+    return float(scalar_curvatures_fd(pot, [x])[0])
 
 
 @cache
@@ -98,12 +99,12 @@ def _stencil(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(list(index), dtype=float), np.array(reads)
 
 
-def _fd_rows(pot: SymplecticPotential, x: np.ndarray, steps: np.ndarray, levels: int) -> np.ndarray:
-    """Finite-difference curvature at the rows of x, whose steps are checked."""
+def _fd_rows(pot: SymplecticPotential, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Finite-difference curvature at the rows of x with their steps."""
     n = pot.n
     offsets, reads = _stencil(n)
     j, k = np.divmod(np.arange(n * n), n)
-    h = steps[:, None] / 2.0 ** np.arange(levels + 1)
+    h = steps[:, None] / 2.0 ** np.arange(FD_LEVELS + 1)
     rows = x[:, None, None] + h[:, :, None, None] * offsets       # point, level, offset
     gi = np.concatenate([b.G_inv for b in metric_jets(pot, rows.reshape(-1, n))])
     g = gi.reshape(rows.shape + (n,))[:, :, reads, j[:, None], k[:, None]]
@@ -112,42 +113,27 @@ def _fd_rows(pot: SymplecticPotential, x: np.ndarray, steps: np.ndarray, levels:
     est = np.where(j == k, (g[..., 0] - 2.0 * g[..., 2] + g[..., 1]) / h2,
                    (g[..., 0] + g[..., 1] - g[..., 2] - g[..., 3]) / (4.0 * h2))
     # Central differences have even error expansions: eliminate h^2, h^4, ...
-    for power in range(1, levels + 1):
+    for power in range(1, FD_LEVELS + 1):
         est = (4.0**power * est[:, 1:] - est[:, :-1]) / (4.0**power - 1.0)
     return -np.sum(np.ascontiguousarray(est[:, 0]), axis=1)     # est is not C-ordered: sum as one n x n matrix
 
 
-def scalar_curvatures_fd(
-    pot: SymplecticPotential, points, step: float | None = None, levels: int = 2
-) -> np.ndarray:
+def scalar_curvatures_fd(pot: SymplecticPotential, points) -> np.ndarray:
     """Finite-difference scalar curvature at each row of `points`, in batches.
 
     s = -sum_jk d_j d_k G^{-1}_jk from central differences of G^{-1}
     alone on the 1 + 2n^2 offsets 0, +-e_j, +-(e_j + e_k), +-(e_j - e_k),
-    at steps h, h/2, ..., h/2^levels, with Richardson's elimination of
-    h^2, h^4, ...  h defaults to (distance to boundary) / 24 and must
-    satisfy distance >= 10 h.  A group of points takes one `metric_jets`
-    call, point by point, level by level, centre first.  So the errors
-    are those of one point at a time: the first failing row raises
-    OutsideDomain or NotPositiveDefinite, and a step that breaks the
-    margin ValueError before the point's rows are evaluated
-    (OutsideDomain if the point is outside).
+    at steps h, h/2, h/4 with h = (distance to boundary) / 24, so every
+    stencil row lies inside, and Richardson's elimination of h^2 and h^4.
+    A group of points takes one `metric_jets` call, point by point, level
+    by level, centre first.  So the errors are those of one point at a
+    time: the first failing row raises OutsideDomain or NotPositiveDefinite,
+    and a point outside fails at its own row, the stencil's centre.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = sampling.interior_distance(pot.polytope, pts)
-    steps = dist / FD_STEP_FRACTION if step is None else np.full(len(pts), step, dtype=float)
-    bad = (steps <= 0) | (dist < FD_MARGIN_FACTOR * steps)
-    end = int(np.argmax(bad)) if bad.any() else len(pts)
-    group = max(1, _CHUNK // ((levels + 1) * (1 + 2 * pot.n**2)))   # rows of a group fill a chunk
-    good, good_steps = pts[:end], steps[:end]     # rows past the first bad point are never evaluated
-    values = [_fd_rows(pot, good[i : i + group], good_steps[i : i + group], levels) for i in range(0, end, group)]
-    if end < len(pts):
-        if dist[end] <= 0:
-            next(metric_jets(pot, pts[end]))    # OutsideDomain, naming the first violated form
-        raise ValueError(
-            f"finite-difference step {steps[end]:.3e} too large for interior "
-            f"distance {dist[end]:.3e} (need distance >= {FD_MARGIN_FACTOR}x step)"
-        )
+    steps = sampling.interior_distance(pot.polytope, pts) / FD_STEP_FRACTION
+    group = max(1, _CHUNK // ((FD_LEVELS + 1) * (1 + 2 * pot.n**2)))   # rows of a group fill a chunk
+    values = [_fd_rows(pot, pts[i : i + group], steps[i : i + group]) for i in range(0, len(pts), group)]
     return np.concatenate([np.empty(0), *values])
 
 
@@ -217,16 +203,10 @@ def _affinity_fit(points, values, n: int | None = None) -> AffineFit:
     return affine_fit(points, values)
 
 
-def extremality_check(
-    pot: SymplecticPotential,
-    grid: int = 20,
-    tol: float | None = None,
-    margin: float | None = None,
-) -> tuple[bool, AffineFit]:
-    """Sample s on an interior grid and test their affinity (tol checked first)."""
-    _tolerances(tol=tol)
-    pts = sampling.interior_grid(pot.polytope, grid, margin)
-    return extremality_from_samples(pts, scalar_curvatures(pot, pts), tol)
+def extremality_check(pot: SymplecticPotential, grid: int = 20) -> tuple[bool, AffineFit]:
+    """Sample s on an interior grid and test its affinity with the default tolerance."""
+    pts = sampling.interior_grid(pot.polytope, grid)
+    return extremality_from_samples(pts, scalar_curvatures(pot, pts))
 
 
 def extremality_from_samples(points, values, tol: float | None = None) -> tuple[bool, AffineFit]:
@@ -234,11 +214,14 @@ def extremality_from_samples(points, values, tol: float | None = None) -> tuple[
 
     The default tolerance is scale aware: 1e-6 times the larger of 1,
     the sample range, and the mean magnitude of s.  A tol given must be
-    positive and finite (ValueError); n + 1 samples or fewer refute nothing
-    (DegenerateSampleSet).
+    positive and finite (ValueError); values that are not all finite
+    decide nothing (OutOfFloatRange); n + 1 samples or fewer refute
+    nothing (DegenerateSampleSet).
     """
-    _tolerances(tol=tol)
+    _tolerance(tol)
     values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise OutOfFloatRange("s is not finite at every sample")
     fit = _affinity_fit(points, values)
     if tol is None:
         spread = float(values.max() - values.min())
@@ -270,8 +253,8 @@ class FDCrossValidation:
     passed: bool
 
 
-def fd_cross_validate(pot: SymplecticPotential, points, tol: float = 1e-5) -> FDCrossValidation:
-    """Compare analytic and finite-difference curvature pointwise.
+def fd_cross_validate(pot: SymplecticPotential, points) -> FDCrossValidation:
+    """Compare analytic and finite-difference curvature pointwise, within FD_TOL.
 
     Relative error uses max(1, |s|) in the denominator so near-zero
     curvatures do not blow the quotient up.
@@ -280,4 +263,4 @@ def fd_cross_validate(pot: SymplecticPotential, points, tol: float = 1e-5) -> FD
     s_fd = scalar_curvatures_fd(pot, pts)
     s_an = scalar_curvatures(pot, pts)
     worst = float(np.max(np.abs(s_an - s_fd) / np.maximum(1.0, np.abs(s_an)), initial=0.0))
-    return FDCrossValidation(max_rel_err=worst, tolerance=tol, n_points=len(pts), passed=worst <= tol)
+    return FDCrossValidation(max_rel_err=worst, tolerance=FD_TOL, n_points=len(pts), passed=worst <= FD_TOL)

@@ -277,9 +277,14 @@ class DelzantPolytope:
             return exact.floats([_point(row) for row in self.vertex_rows])
 
     def lambdas(self, x: np.ndarray) -> np.ndarray:
-        """Float values of every defining form at x (points in rows ok)."""
+        """Float values of every defining form at x (points in rows ok).
+        ValueError, naming both lengths, unless x's last axis has n entries."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.n,):
+            got = x.shape[-1] if x.ndim else "a scalar"
+            raise ValueError(f"a point of this polytope has {self.n} coordinates, got {got}")
         # einsum, not x @ U^T: BLAS rounds one row (gemv) and many (gemm) differently
-        return np.einsum("...i,ki->...k", np.asarray(x, dtype=float), self.normals_float) - self.offsets_float
+        return np.einsum("...i,ki->...k", x, self.normals_float) - self.offsets_float
 
     def vertex_at(self, point) -> VertexData:
         return self.vertices[self._vertex_index(point)]

@@ -48,6 +48,11 @@ from .polytope import DelzantPolytope, _orthant, polytope_from_json
 # flat in the number of points while numpy still amortises its call overhead.
 _CHUNK = 256
 
+DELTA_MAX_RATIO = 1e3         # det_factorization_check: largest max delta / min delta
+PROBE_TOL = 1e-4              # vertex_vanishing_probe: largest |G^{-1}| at the last step
+PROBE_MIN_SLOPE = 0.9         # vertex_vanishing_probe: least log-log slope of |G^{-1}|
+COFACTOR_TOL = 1e-6           # cofactor_growth_check: largest product at the last step
+
 
 def _vector(a, n: int) -> np.ndarray:
     """a as a float vector; ValueError, naming both lengths, unless it has n entries."""
@@ -57,11 +62,10 @@ def _vector(a, n: int) -> np.ndarray:
     return a
 
 
-def _tolerances(**named) -> None:
-    """ValueError unless each tolerance given (not None) is positive and finite."""
-    for name, value in named.items():
-        if value is not None and not 0 < value < inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+def _tolerance(tol: float | None) -> None:
+    """ValueError unless tol, when given (not None), is positive and finite."""
+    if tol is not None and not 0 < tol < inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 class SymplecticPotential:
@@ -146,11 +150,11 @@ def _cofactor_matrix(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricJet:
-    """G, its inverse, determinant, cofactors, and optional derivatives.
+    """G, its inverse, determinant and cofactors at one point.
 
-    dG[l] is the l-th partial derivative of G; d2G[m, l] the second
-    partial.  cof comes from explicit minors, so det_G * G_inv = cof^T
-    is a genuine cross-check rather than an identity by construction.
+    cof comes from explicit minors, so det_G * G_inv = cof^T is a
+    genuine cross-check rather than an identity by construction.  The
+    derivatives of G are on the batch: `metric_jets(..., with_derivatives=True)`.
     """
 
     x: np.ndarray
@@ -158,11 +162,9 @@ class MetricJet:
     G_inv: np.ndarray
     det_G: float
     cof: np.ndarray
-    dG: np.ndarray | None
-    d2G: np.ndarray | None
 
 
-def metric_jet(pot: SymplecticPotential, x, with_derivatives: bool = False) -> MetricJet:
+def metric_jet(pot: SymplecticPotential, x) -> MetricJet:
     """Hessian metric data at an interior point: the one-row batch of
     `_metric_rows`, plus cofactors from explicit minors.
 
@@ -170,15 +172,13 @@ def metric_jet(pot: SymplecticPotential, x, with_derivatives: bool = False) -> M
     failure raises NotPositiveDefinite carrying the smallest eigenvalue.
     """
     x = np.asarray(x, dtype=float)
-    b = _metric_rows(pot, x[None], with_derivatives)
+    b = _metric_rows(pot, x[None], False)
     return MetricJet(
         x=x,
         G=b.G[0],
         G_inv=b.G_inv[0],
         det_G=float(b.det_G[0]),
         cof=_cofactor_matrix(b.G[0]),
-        dG=b.dG[0] if with_derivatives else None,
-        d2G=b.d2G[0] if with_derivatives else None,
     )
 
 
@@ -275,7 +275,7 @@ def metric_jets(pot: SymplecticPotential, points, with_derivatives: bool = False
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim < 2:  # one point, or an empty list of points
-        pts = pts.reshape(min(pts.size, 1), pot.n)
+        pts = pts.reshape(1, -1) if pts.size else pts.reshape(0, pot.n)
     for start in range(0, max(len(pts), 1), _CHUNK):
         yield _metric_rows(pot, pts[start : start + _CHUNK], with_derivatives)
 
@@ -294,10 +294,9 @@ class DetFactorizationReport:
     passed: bool
 
 
-def det_factorization_check(
-    pot: SymplecticPotential, points, max_ratio: float = 1e3
-) -> DetFactorizationReport:
-    """Sample delta and require positivity with bounded variation (no points: DegenerateSampleSet)."""
+def det_factorization_check(pot: SymplecticPotential, points) -> DetFactorizationReport:
+    """Sample delta and require it positive, max / min at most DELTA_MAX_RATIO
+    (no points: DegenerateSampleSet)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not pts.size:
         raise DegenerateSampleSet("no sample points to check delta at")
@@ -309,7 +308,7 @@ def det_factorization_check(
         min_delta=lo,
         max_delta=hi,
         ratio=ratio,
-        passed=lo > 0 and ratio <= max_ratio,
+        passed=lo > 0 and ratio <= DELTA_MAX_RATIO,
     )
 
 
@@ -332,15 +331,10 @@ class VanishingProbe:
     passed: bool
 
 
-def vertex_vanishing_probe(
-    pot: SymplecticPotential,
-    vertex,
-    ray,
-    ts,
-    tolerance: float = 1e-4,
-    min_slope: float = 0.9,
-) -> VanishingProbe:
-    """Check that G^{-1} vanishes at least linearly along a ray into a vertex.
+def vertex_vanishing_probe(pot: SymplecticPotential, vertex, ray, ts) -> VanishingProbe:
+    """Check that G^{-1} vanishes at least linearly along a ray into a vertex:
+    |G^{-1}| decreases, ends at most PROBE_TOL, with log-log slope at least
+    PROBE_MIN_SLOPE.
 
     `vertex` may be a VertexData or an exact coordinate tuple, `ray` must point
     inside for every t, and `ts` hold 3 or more positive, strictly decreasing steps.
@@ -349,9 +343,9 @@ def vertex_vanishing_probe(
     norms = np.array([np.max(np.abs(metric_jet(pot, x).G_inv)) for x in sampling.ray_points(vertex, ray, ts)])
     slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0])
     decreasing = bool(np.all(np.diff(norms) <= norms[:-1] * 1e-9 + 1e-300))
-    passed = decreasing and norms[-1] <= tolerance and slope >= min_slope
+    passed = decreasing and norms[-1] <= PROBE_TOL and slope >= PROBE_MIN_SLOPE
     return VanishingProbe(
-        ts=ts, norms=norms, slope=slope, tolerance=tolerance, passed=passed
+        ts=ts, norms=norms, slope=slope, tolerance=PROBE_TOL, passed=passed
     )
 
 
@@ -366,10 +360,9 @@ class CofactorGrowthReport:
     passed: bool
 
 
-def cofactor_growth_check(
-    pot: SymplecticPotential, ray, ts, tolerance: float = 1e-6
-) -> CofactorGrowthReport:
-    """Verify cof(G)_{ij} = o(1/(x_1...x_n)) into the origin vertex.
+def cofactor_growth_check(pot: SymplecticPotential, ray, ts) -> CofactorGrowthReport:
+    """Verify cof(G)_{ij} = o(1/(x_1...x_n)) into the origin vertex: the
+    products settle and end at most COFACTOR_TOL.
 
     Requires a polytope normalised at the vertex: the first n forms must
     be the coordinate half spaces {x_i >= 0}, so the incident lambdas
@@ -394,8 +387,8 @@ def cofactor_growth_check(
         ts=ts,
         products=products,
         final_max=final_max,
-        tolerance=tolerance,
-        passed=trend and final_max <= tolerance,
+        tolerance=COFACTOR_TOL,
+        passed=trend and final_max <= COFACTOR_TOL,
     )
 
 

@@ -148,7 +148,10 @@ def interior_rays(vertex: VertexData, count: int = 3) -> list[np.ndarray]:
 
 
 def ray_points(vertex, ray, ts) -> np.ndarray:
-    """x = v + t * d for each t."""
+    """x = v + t * d for each t; ValueError, naming both lengths, unless d has v's."""
     v = exact.floats(vertex.coordinates if isinstance(vertex, VertexData) else vertex)
+    d = np.asarray(ray, dtype=float)
+    if d.shape != v.shape:
+        raise ValueError(f"the ray needs {len(v)} components for this vertex, got {d.size if d.ndim == 1 else d.shape}")
     ts = np.asarray(ts, dtype=float)
-    return v[None, :] + ts[:, None] * np.asarray(ray, dtype=float)[None, :]
+    return v[None, :] + ts[:, None] * d[None, :]

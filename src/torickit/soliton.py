@@ -29,7 +29,7 @@ from . import exact, sampling
 from .curvature import AffineFit, _affinity_fit
 from .errors import MaxIterations, NotFano, OutOfFloatRange, QuadratureNotConverged
 from .polytope import DelzantPolytope, _carry, _cuts, _dual_facets, _form, _point
-from .potential import SymplecticPotential, _tolerances, _vector, metric_jets
+from .potential import SymplecticPotential, _tolerance, _vector, metric_jets
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -266,23 +266,19 @@ class SolitonData:
         }
 
 
-def soliton_vector(
-    fp: FanoPolytope, tol: float = NEWTON_TOL, max_iterations: int = NEWTON_MAX_ITER
-) -> SolitonData:
+def soliton_vector(fp: FanoPolytope, tol: float = NEWTON_TOL) -> SolitonData:
     """Damped Newton minimisation of F(a) = integral e^{<a,x>} dx.
 
     The gradient is the weighted barycenter integral x e^{<a,x>}, the
     Hessian integral x x^T e^{<a,x>} is positive definite, so Newton steps
     backtracking on |grad F| converge from a = 0 (not on F: near the
     minimum F changes by less than its rounding).  ValueError unless tol
-    is positive and finite and max_iterations at least 1.
+    is positive and finite; MaxIterations after NEWTON_MAX_ITER steps.
     """
-    _tolerances(tol=tol)
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    _tolerance(tol)
     a = np.zeros(fp.n)
     _, grad, hess = _moments(fp, a)
-    for iteration in range(max_iterations):
+    for iteration in range(NEWTON_MAX_ITER):
         residual = sqrt(grad @ grad)  # as np.linalg.norm computes it, without its overhead
         if residual <= tol:
             return SolitonData(a=a, gradient_residual=residual, iterations=iteration)
@@ -297,7 +293,7 @@ def soliton_vector(
         a, grad, hess = trial, trial_grad, trial_hess
     raise MaxIterations(
         f"Newton solver stalled at residual {sqrt(grad @ grad):.3e} "
-        f"after {max_iterations} iterations"
+        f"after {NEWTON_MAX_ITER} iterations"
     )
 
 
@@ -329,11 +325,7 @@ class EinsteinVerdict:
 
 
 def einstein_verdict_from_samples(
-    polytope: DelzantPolytope,
-    points,
-    values,
-    affinity_tol: float | None = None,
-    vertex_tol: float | None = None,
+    polytope: DelzantPolytope, points, values, tol: float | None = None
 ) -> EinsteinVerdict:
     """Run the verdict pipeline on precomputed samples of q = |grad f|^2.
 
@@ -345,10 +337,12 @@ def einstein_verdict_from_samples(
     cannot fail for genuine metric data, so their failure yields
     Inconclusive.  DegenerateSampleSet for n + 1 samples or fewer, which
     leave the fit no residual; OutOfFloatRange when q, the fit's vertex
-    values or the zero bound is not finite; ValueError for a tolerance
-    given that is not positive and finite.
+    values or the zero bound is not finite.  `tol` bounds both the affinity
+    residual (step 1) and the vertex values (step 2); by default each
+    follows the data (below).  A tol given must be positive and finite
+    (ValueError).
     """
-    _tolerances(affinity_tol=affinity_tol, vertex_tol=vertex_tol)
+    _tolerance(tol)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -356,11 +350,9 @@ def einstein_verdict_from_samples(
     fit = _affinity_fit(pts, vals, polytope.n)
     low, high = float(vals.min()), float(vals.max())
     spread, scale = high - low, abs(max(high, -low))    # scale = max |q|
-    if affinity_tol is None:
-        # floor keeps exactly-constant data from tripping on lstsq noise
-        affinity_tol = max(1e-6 * spread, 1e-12 * max(1.0, scale))
-    if vertex_tol is None:
-        vertex_tol = 1e-6 * max(1.0, spread)
+    # the affinity floor keeps exactly-constant data from tripping on lstsq noise
+    affinity_tol = max(1e-6 * spread, 1e-12 * max(1.0, scale)) if tol is None else tol
+    vertex_tol = 1e-6 * max(1.0, spread) if tol is None else tol
 
     affine_ok = fit.max_residual <= affinity_tol
 
@@ -397,12 +389,7 @@ def einstein_verdict_from_samples(
 
 
 def verify_einstein(
-    pot: SymplecticPotential,
-    a,
-    grid: int = 20,
-    margin: float | None = None,
-    affinity_tol: float | None = None,
-    vertex_tol: float | None = None,
+    pot: SymplecticPotential, a, grid: int = 20, margin: float | None = None, tol: float | None = None
 ) -> EinsteinVerdict:
     """Sample q(x) = a^T G^{-1}(x) a on an interior grid and decide whether
     the soliton field must vanish (Einstein), the affinity hypothesis
@@ -410,12 +397,11 @@ def verify_einstein(
 
     q comes from each batch's Cholesky factor (`MetricBatch.inverse_form`),
     so no G is inverted; a point where the metric fails raises as `metric_jet`
-    would there, for the first such point.  Tolerances are checked first.
+    would there, for the first such point.  tol, as in
+    `einstein_verdict_from_samples`, is checked first.
     """
     a = _vector(a, pot.n)
-    _tolerances(affinity_tol=affinity_tol, vertex_tol=vertex_tol)
+    _tolerance(tol)
     pts = sampling.interior_grid(pot.polytope, grid, margin)
     values = np.concatenate([b.inverse_form(a) for b in metric_jets(pot, pts)])
-    return einstein_verdict_from_samples(
-        pot.polytope, pts, values, affinity_tol=affinity_tol, vertex_tol=vertex_tol
-    )
+    return einstein_verdict_from_samples(pot.polytope, pts, values, tol=tol)

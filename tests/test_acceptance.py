@@ -228,14 +228,14 @@ def test_criterion_8_fd_cross_validation():
         pot = SymplecticPotential.guillemin(p)
         margin = 0.05 * sampling.diameter(p)
         pts = random_interior_points(p, 100, margin=margin, rng=100 + i)
-        rep = fd_cross_validate(pot, pts, tol=1e-5)
+        rep = fd_cross_validate(pot, pts)
         assert rep.passed, (name, params, rep.max_rel_err)
         worst = max(worst, rep.max_rel_err)
 
     p = catalog("simplex", 2)
     perturbed = SymplecticPotential(p, Polynomial(2, {(2, 2): F(1, 100)}))
     pts = random_interior_points(p, 100, margin=0.05 * sampling.diameter(p), rng=777)
-    rep = fd_cross_validate(perturbed, pts, tol=1e-5)
+    rep = fd_cross_validate(perturbed, pts)
     assert rep.passed
     worst = max(worst, rep.max_rel_err)
     assert worst <= 1e-5

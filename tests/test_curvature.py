@@ -17,6 +17,7 @@ from torickit import (
     AffineFit,
     DegenerateSampleSet,
     NotPositiveDefinite,
+    OutOfFloatRange,
     OutsideDomain,
     Polynomial,
     SymplecticPotential,
@@ -116,18 +117,14 @@ class TestFiniteDifferenceRoute:
             assert abs(sa - sf) / max(1.0, abs(sa)) < 1e-5
 
     def test_richardson_beats_single_level(self):
+        # the route's two Richardson levels against the same step's plain central differences
         pot = guillemin("blowup_cp2", 1)
         x = np.array([0.21, -0.33])
         want = scalar_curvature(pot, x)
-        plain = scalar_curvature_fd(pot, x, step=0.02, levels=0)
-        rich = scalar_curvature_fd(pot, x, step=0.02, levels=2)
+        plain = oracles.fd_curvature(pot, x, levels=0)
+        rich = scalar_curvature_fd(pot, x)
         assert abs(rich - want) < abs(plain - want)
         assert abs(rich - want) < 1e-7
-
-    def test_step_precondition(self):
-        pot = guillemin("simplex", 2)
-        with pytest.raises(ValueError):
-            scalar_curvature_fd(pot, np.array([0.05, 0.05]), step=0.04)
 
     def test_point_outside_names_its_form(self):
         # the same error as the analytic route, not a step precondition
@@ -172,8 +169,7 @@ def raised(call):
 @st.composite
 def fd_cases(draw):
     """A catalog potential, a lattice image of one or the perturbed simplex,
-    1-40 interior points, an explicit step within their margin and 0-3
-    Richardson levels."""
+    and 1-40 interior points."""
     kind = draw(st.sampled_from(["catalog", "image", "perturbed"]))
     if kind == "perturbed":
         pot = PERTURBED
@@ -184,59 +180,48 @@ def fd_cases(draw):
             p = draw(lattice_maps(p.n)).apply_polytope(p)
         pot = SymplecticPotential.guillemin(p)
     r = sampling.inradius(pot.polytope)
-    pts = random_interior_points(pot.polytope, draw(st.integers(1, 40)), margin=0.2 * r,
-                                 rng=draw(st.integers(0, 2**16)))
-    step = draw(st.floats(0.05, 0.9)) * 0.02 * r     # distance >= 0.2 r > 10 step
-    return pot, pts, step, draw(st.integers(0, 3))
+    return pot, random_interior_points(pot.polytope, draw(st.integers(1, 40)), margin=0.2 * r,
+                                       rng=draw(st.integers(0, 2**16)))
 
 
 class TestBatchedFiniteDifferences:
     @settings(max_examples=40, deadline=None)
     @given(fd_cases())
     def test_batch_repeats_the_point_by_point_arithmetic(self, case):
-        pot, pts, step, levels = case
-        got = scalar_curvatures_fd(pot, pts, step=step, levels=levels)
-        want = [oracles.fd_curvature(pot, x, step, levels) for x in pts]
-        assert got.tolist() == want
-        assert scalar_curvature_fd(pot, pts[0], step, levels) == want[0]
+        pot, pts = case
+        want = [oracles.fd_curvature(pot, x) for x in pts]
+        assert scalar_curvatures_fd(pot, pts).tolist() == want
+        assert scalar_curvature_fd(pot, pts[0]) == want[0]
 
-    @pytest.mark.parametrize("levels", [0, 2])
-    def test_catalog_values_are_those_of_the_one_point_loop(self, catalog_potential, levels):
+    def test_catalog_values_are_those_of_the_one_point_loop(self, catalog_potential):
         for pot in (catalog_potential, PERTURBED):
             r = sampling.inradius(pot.polytope)
             pts = random_interior_points(pot.polytope, 30, margin=0.2 * r, rng=5)
-            want = [oracles.fd_curvature(pot, x, levels=levels) for x in pts]
-            assert scalar_curvatures_fd(pot, pts, levels=levels).tolist() == want
+            want = [oracles.fd_curvature(pot, x) for x in pts]
+            assert scalar_curvatures_fd(pot, pts).tolist() == want
 
     @pytest.mark.parametrize(
-        "pot,pts,step",
+        "pot,pts",
         [
             # a stencil row fails before a later point lies outside
-            (INDEFINITE, [(0.05, 0.3), (0.11, 0.2), (2.0, 2.0)], None),
-            (INDEFINITE, [(0.05, 0.3), (2.0, 2.0), (0.11, 0.2)], None),
+            (INDEFINITE, [(0.05, 0.3), (0.11, 0.2), (2.0, 2.0)]),
+            (INDEFINITE, [(0.05, 0.3), (2.0, 2.0), (0.11, 0.2)]),
             # the point itself is not positive definite
-            (INDEFINITE, [(0.05, 0.3), (0.3, 0.3)], None),
-            # the step breaks the margin: the step is checked before the point
-            (INDEFINITE, [(0.05, 0.3), (0.02, 0.3)], 0.004),
-            (INDEFINITE, [(0.3, 0.3)], 0.1),
-            (INDEFINITE, [(0.11, 0.2), (0.01, 0.3)], 0.0045),
-            (INDEFINITE, [(0.05, 0.3)], 0.0),
-            # the too-large step of a later point would reach outside
-            (guillemin("simplex", 2), [(0.3, 0.3), (0.01, 0.3)], 0.02),
-            (guillemin("simplex", 2), [(0.3, 0.3), (0.01, 0.3), (0.2, 0.2)], 0.02),
-            (PERTURBED, [(0.3, 0.3), (0.5, 0.6)], None),
-            (guillemin("cube", 3), [(0.5, 0.5, 0.5), (0.5, 0.5, 1.0)], 0.01),
+            (INDEFINITE, [(0.05, 0.3), (0.3, 0.3)]),
+            (PERTURBED, [(0.3, 0.3), (0.5, 0.6)]),
+            # a later point on the boundary: its step is 0, its own row fails
+            (guillemin("cube", 3), [(0.5, 0.5, 0.5), (0.5, 0.5, 1.0)]),
         ],
     )
-    def test_errors_are_those_of_the_point_by_point_loop(self, pot, pts, step):
-        want = raised(lambda: [oracles.fd_curvature(pot, np.array(x), step) for x in pts])
-        assert raised(lambda: scalar_curvatures_fd(pot, pts, step=step)) == want
-        if step is None:
-            def loop():
-                for x in np.array(pts):
-                    scalar_curvature(pot, x)
-                    oracles.fd_curvature(pot, x)
-            assert raised(lambda: fd_cross_validate(pot, pts)) == raised(loop)
+    def test_errors_are_those_of_the_point_by_point_loop(self, pot, pts):
+        want = raised(lambda: [oracles.fd_curvature(pot, np.array(x)) for x in pts])
+        assert raised(lambda: scalar_curvatures_fd(pot, pts)) == want
+
+        def loop():
+            for x in np.array(pts):
+                scalar_curvature(pot, x)
+                oracles.fd_curvature(pot, x)
+        assert raised(lambda: fd_cross_validate(pot, pts)) == raised(loop)
 
     def test_no_points(self):
         pot = guillemin("simplex", 2)
@@ -371,12 +356,22 @@ class TestOracleAgreement:
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
-def test_extremality_refuses_a_bad_tolerance(monkeypatch, value):
+def test_extremality_refuses_a_bad_tolerance(value):
     # tol = inf called hirzebruch(1)'s canonical metric extremal
     pot = SymplecticPotential.guillemin(catalog("hirzebruch", 1))
     pts = sampling.interior_grid(pot.polytope, 5)
     values = scalar_curvatures(pot, pts)
-    monkeypatch.setattr(sampling, "interior_grid", None)    # refused before sampling
-    for call in (lambda: extremality_check(pot, tol=value), lambda: extremality_from_samples(pts, values, tol=value)):
-        with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {value}$"):
-            call()
+    with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {value}$"):
+        extremality_from_samples(pts, values, tol=value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_extremality_refuses_values_that_are_not_finite(bad):
+    # a fit of NaNs once answered (False, fit): a non-extremality verdict from no data
+    pot = SymplecticPotential.guillemin(catalog("hirzebruch", 1))
+    pts = sampling.interior_grid(pot.polytope, 5)
+    values = scalar_curvatures(pot, pts)
+    values[3] = bad
+    for tol in (None, 1e-3):
+        with pytest.raises(OutOfFloatRange, match="^s is not finite at every sample$"):
+            extremality_from_samples(pts, values, tol)

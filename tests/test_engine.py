@@ -21,6 +21,7 @@ from torickit import (
     SymplecticPotential,
     UnimodularMap,
     catalog,
+    det_factorization_check,
     extremality_check,
     fano_normalize,
     interior_grid,
@@ -207,6 +208,31 @@ class TestBatchErrors:
         assert vars(got.value) == vars(one[1.5]) and str(got.value) == str(one[1.5])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pot, x: metric_jet(pot, x[0]),
+        lambda pot, x: list(metric_jets(pot, x)),
+        lambda pot, x: list(metric_jets(pot, x[0])),
+        scalar_curvatures,
+        scalar_curvatures_fd,
+        det_factorization_check,
+        lambda pot, x: soliton_identity_residual(pot, np.zeros(pot.n), x),
+        lambda pot, x: sampling.interior_distance(pot.polytope, x),
+    ],
+    ids=["metric_jet", "metric_jets", "metric_jets_one_point", "scalar_curvatures", "scalar_curvatures_fd",
+         "det_factorization_check", "soliton_identity_residual", "interior_distance"],
+)
+@pytest.mark.parametrize("name,params,x", [("cube", (2,), [[0.3]]), ("cube", (2,), [[0.3, 0.3, 0.3]]),
+                                           ("simplex", (3,), [[0.1]])])
+def test_a_point_of_the_wrong_length_is_refused(call, name, params, x):
+    # one coordinate was broadcast onto every axis: s read 8 at [0.3] on cube(2), as at (0.3, 0.3)
+    pot = SymplecticPotential.guillemin(catalog(name, *params))
+    got = len(x[0])
+    with pytest.raises(ValueError, match=rf"^a point of this polytope has {pot.n} coordinates, got {got}$"):
+        call(pot, np.array(x))
+
+
 def test_empty_point_list():
     pot = SymplecticPotential.guillemin(catalog("simplex", 2))
     for points in ([], np.empty((0, 2))):
@@ -266,13 +292,16 @@ def test_one_point_calls_are_their_batch_rows(case):
     pot, seed = case
     p = pot.polytope
     pts = random_interior_points(p, 257, margin=0.1 * sampling.inradius(p), rng=seed)
+    jets = [metric_jet(pot, x) for x in pts]
+    rows = [next(metric_jets(pot, x, with_derivatives=True)) for x in pts]    # one-row batches
     for deriv, fields in ((False, ["G", "G_inv", "det_G"]), (True, ["G", "G_inv", "det_G", "dG", "d2G"])):
-        jets = [metric_jet(pot, x, with_derivatives=deriv) for x in pts]
         for count in (1, 256, 257):     # one row, one full chunk, a chunk and one row
             batches = list(metric_jets(pot, pts[:count], with_derivatives=deriv))
             for f in fields:
                 got = np.concatenate([getattr(b, f) for b in batches])
-                assert np.array_equal(got, [getattr(j, f) for j in jets[:count]]), (f, count)
+                assert np.array_equal(got, [getattr(r, f)[0] for r in rows[:count]]), (f, count)
+                if f in ("G", "G_inv", "det_G"):
+                    assert np.array_equal(got, [getattr(j, f) for j in jets[:count]]), (f, count)
     one = {
         "s": [scalar_curvature(pot, x) for x in pts],
         "fd": [scalar_curvature_fd(pot, x) for x in pts],

@@ -1,5 +1,7 @@
 """The package's public surface."""
 
+import enum
+import inspect
 import os
 import re
 import subprocess
@@ -12,6 +14,42 @@ import torickit
 def test_every_export_resolves():
     missing = [name for name in torickit.__all__ if not hasattr(torickit, name)]
     assert missing == []
+
+
+# Every optional parameter of the public API with its default.  An option is one
+# more configuration to test, and most are thresholds a certificate could be
+# eased with, so adding one shows up here as an edit to this table.
+PUBLIC_OPTIONS = {
+    "Polynomial": {"coeffs": None},
+    "SymplecticPotential": {"h": None},
+    "einstein_verdict_from_samples": {"tol": None},
+    "extremality_check": {"grid": 20},
+    "extremality_from_samples": {"tol": None},
+    "geometric_ts": {"t0": 1e-2, "count": 15},
+    "interior_grid": {"margin": None},
+    "interior_rays": {"count": 3},
+    "metric_jets": {"with_derivatives": False},
+    "polytope_integral": {"integrand": "1"},
+    "random_interior_points": {"margin": None, "rng": 0},
+    "soliton_vector": {"tol": 1e-10},
+    "verify_einstein": {"grid": 20, "margin": None, "tol": None},
+}
+
+
+def test_public_options():
+    got = {}
+    for name in torickit.__all__:
+        obj = getattr(torickit, name)
+        if not callable(obj) or isinstance(obj, enum.EnumMeta):    # an Enum's signature is enum's own
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:     # builtin constructors, as of the exceptions
+            continue
+        options = {p.name: p.default for p in params if p.default is not p.empty}
+        if options:
+            got[name] = options
+    assert got == PUBLIC_OPTIONS
 
 
 NUMPY_ONLY = """

@@ -24,6 +24,7 @@ from torickit import (
     interior_grid,
     interior_rays,
     metric_jet,
+    metric_jets,
     normalize_at_vertex,
     potential_from_json,
     random_interior_points,
@@ -45,15 +46,21 @@ def cp2_potential():
     return SymplecticPotential.guillemin(catalog("simplex", 2))
 
 
+def derivatives(pot, x):
+    """G, dG and d2G at x: the one-row batch with derivatives."""
+    b = next(metric_jets(pot, x, with_derivatives=True))
+    return b.G[0], b.dG[0], b.d2G[0]
+
+
 class TestJets:
     def test_interval_closed_form(self):
         pot = segment_potential()
         for x in np.linspace(0.05, 0.95, 9):
-            jet = metric_jet(pot, np.array([x]), with_derivatives=True)
+            g, dg, d2g = derivatives(pot, np.array([x]))
             # G = 1/(2x(1-x)) and its chain-rule derivatives
-            assert np.isclose(jet.G[0, 0], 1.0 / (2 * x * (1 - x)), rtol=1e-13)
-            assert np.isclose(jet.dG[0, 0, 0], -0.5 * (1 / x**2 - 1 / (1 - x) ** 2), rtol=1e-12)
-            assert np.isclose(jet.d2G[0, 0, 0, 0], 1 / x**3 + 1 / (1 - x) ** 3, rtol=1e-12)
+            assert np.isclose(g[0, 0], 1.0 / (2 * x * (1 - x)), rtol=1e-13)
+            assert np.isclose(dg[0, 0, 0], -0.5 * (1 / x**2 - 1 / (1 - x) ** 2), rtol=1e-12)
+            assert np.isclose(d2g[0, 0, 0, 0], 1 / x**3 + 1 / (1 - x) ** 3, rtol=1e-12)
 
     def test_cp2_center(self):
         jet = metric_jet(cp2_potential(), np.array([1 / 3, 1 / 3]))
@@ -64,30 +71,27 @@ class TestJets:
         pot = catalog_potential
         pts = interior_grid(pot.polytope, 4, margin=0.15)
         for x in pts[:: max(1, len(pts) // 5)]:
-            jet = metric_jet(pot, x, with_derivatives=True)
+            _, dg, _ = derivatives(pot, x)
             for l in range(pot.n):
                 e = np.zeros(pot.n)
                 e[l] = 1e-5
                 fd = (metric_jet(pot, x + e).G - metric_jet(pot, x - e).G) / 2e-5
-                assert np.allclose(jet.dG[:, :, l], fd, rtol=1e-5, atol=1e-7)
+                assert np.allclose(dg[:, :, l], fd, rtol=1e-5, atol=1e-7)
 
     def test_higher_jets_against_finite_differences(self):
         pot = SymplecticPotential(
             catalog("simplex", 2), Polynomial(2, {(2, 2): F(1, 100)})
         )
         x = np.array([0.31, 0.22])
-        jet = metric_jet(pot, x, with_derivatives=True)
+        _, dg, d2g = derivatives(pot, x)
         h = 1e-4
         for l in range(2):
             e = np.zeros(2)
             e[l] = h
             dh = (metric_jet(pot, x + e).G - metric_jet(pot, x - e).G) / (2 * h)
-            assert np.allclose(jet.dG[:, :, l], dh, rtol=1e-6, atol=1e-6)
-            dd3 = (
-                metric_jet(pot, x + e, with_derivatives=True).dG
-                - metric_jet(pot, x - e, with_derivatives=True).dG
-            ) / (2 * h)
-            assert np.allclose(jet.d2G[:, :, :, l], dd3, rtol=1e-5, atol=1e-4)
+            assert np.allclose(dg[:, :, l], dh, rtol=1e-6, atol=1e-6)
+            dd3 = (derivatives(pot, x + e)[1] - derivatives(pot, x - e)[1]) / (2 * h)
+            assert np.allclose(d2g[:, :, :, l], dd3, rtol=1e-5, atol=1e-4)
 
     def test_h_tensor_hand_case(self):
         # h = (3/2) x^2 y at (2, 5) and (1, -1)
@@ -150,12 +154,11 @@ class TestMetricJet:
         ]
         for pot, x in cases:
             x = np.array(x)
-            mj = metric_jet(pot, x, with_derivatives=True)
-            g, dg, d2g = oracles.reference_jet(*oracles.potential_spec(pot), x)
-            assert np.allclose(mj.G, g, rtol=1e-13, atol=0)
-            assert np.allclose(mj.dG, dg, rtol=1e-13, atol=0)
-            assert np.allclose(mj.d2G, d2g, rtol=1e-13, atol=0)
-            assert metric_jet(pot, x).dG is None
+            got = derivatives(pot, x)
+            want = oracles.reference_jet(*oracles.potential_spec(pot), x)
+            for a, b in zip(got, want):
+                assert np.allclose(a, b, rtol=1e-13, atol=0)
+            assert next(metric_jets(pot, x)).dG is None
 
     def test_not_positive_definite(self):
         # h = -4 x^2 drives G = 1/(2x(1-x)) - 4 negative at the center
@@ -274,13 +277,22 @@ class TestVertexProbes:
             assert probe.slope >= 0.9
             assert probe.norms[-1] < probe.norms[0]
 
-    def test_probe_fails_for_impossible_slope(self):
-        pot = cp2_potential()
-        origin = pot.polytope.vertex_at((F(0), F(0)))
-        ts = geometric_ts(1e-2, 10)
-        ray = interior_rays(origin, 1)[0]
-        probe = vertex_vanishing_probe(pot, origin, ray, ts, min_slope=1.5)
+    def test_probe_fails_away_from_a_vertex(self):
+        # G^{-1} does not vanish at the centre of the square: the slope is about 0
+        pot = SymplecticPotential.guillemin(catalog("cube", 2))
+        probe = vertex_vanishing_probe(pot, (F(1, 2), F(1, 2)), (1, 1), geometric_ts(1e-2, 10))
+        assert abs(probe.slope) < 1e-3
         assert not probe.passed
+
+    @pytest.mark.parametrize("ray", [(1,), (1, 1, 1)])
+    def test_probes_refuse_a_ray_of_the_wrong_length(self, ray):
+        # a one-entry ray was broadcast onto (1, 1), bit for bit that probe
+        pot = SymplecticPotential.guillemin(catalog("cube", 2))
+        ts = geometric_ts(1e-2, 5)
+        with pytest.raises(ValueError, match=rf"^the ray needs 2 components for this vertex, got {len(ray)}$"):
+            vertex_vanishing_probe(pot, (F(0), F(0)), ray, ts)
+        with pytest.raises(ValueError, match=rf"^a point of this polytope has 2 coordinates, got {len(ray)}$"):
+            cofactor_growth_check(pot, ray, ts)
 
     def test_cofactor_growth_at_normalized_vertex(self):
         p = catalog("blowup_cp2", 1)

@@ -552,10 +552,11 @@ class TestSolitonVector:
                 assert data.iterations == 4
                 assert data.gradient_residual <= 1e-10
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         fp = fano_normalize(catalog("blowup_cp2", 1))
-        with pytest.raises(MaxIterations, match="stalled"):
-            soliton_vector(fp, max_iterations=1)
+        monkeypatch.setattr(torickit.soliton, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(MaxIterations, match="stalled .* after 1 iterations$"):
+            soliton_vector(fp)
 
     def test_report_shape(self):
         fp = fano_normalize(catalog("simplex", 2))
@@ -837,15 +838,14 @@ BAD_TOLERANCES = [-1.0, 0.0, float("nan"), float("inf")]
 
 
 @pytest.mark.parametrize("value", BAD_TOLERANCES)
-@pytest.mark.parametrize("name", ["affinity_tol", "vertex_tol"])
-def test_a_verdict_refuses_a_bad_tolerance(monkeypatch, name, value):
+def test_a_verdict_refuses_a_bad_tolerance(monkeypatch, value):
     pot = SymplecticPotential(catalog("cube", 2))    # Kähler-Einstein: a = 0
     monkeypatch.setattr(torickit.sampling, "interior_grid", None)    # refused before sampling
-    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {value}$"):
-        verify_einstein(pot, [0.0, 0.0], **{name: value})
+    with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {value}$"):
+        verify_einstein(pot, [0.0, 0.0], tol=value)
     pts = interior_grid(pot.polytope, 6)
-    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {value}$"):
-        einstein_verdict_from_samples(pot.polytope, pts, np.zeros(len(pts)), **{name: value})
+    with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {value}$"):
+        einstein_verdict_from_samples(pot.polytope, pts, np.zeros(len(pts)), tol=value)
 
 
 @pytest.mark.parametrize("value", BAD_TOLERANCES)
@@ -854,11 +854,3 @@ def test_soliton_vector_refuses_a_bad_tolerance(monkeypatch, value):
     monkeypatch.setattr(torickit.soliton, "_moments", None)    # refused before the first moment
     with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {value}$"):
         soliton_vector(fp, tol=value)
-
-
-@pytest.mark.parametrize("value", [0, -3])
-def test_soliton_vector_refuses_fewer_than_one_iteration(monkeypatch, value):
-    fp = fano_normalize(catalog("blowup_cp2", 1))
-    monkeypatch.setattr(torickit.soliton, "_moments", None)
-    with pytest.raises(ValueError, match=rf"^max_iterations must be at least 1, got {value}$"):
-        soliton_vector(fp, max_iterations=value)
