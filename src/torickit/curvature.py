@@ -43,6 +43,7 @@ import numpy as np
 
 from . import sampling
 from .errors import DegenerateSampleSet, OutOfFloatRange
+from .polytope import _points
 from .potential import _CHUNK, MetricBatch, SymplecticPotential, _tolerance, _vector, metric_jets
 
 FD_STEP_FRACTION = 24.0       # step h = interior distance / 24
@@ -130,7 +131,7 @@ def scalar_curvatures_fd(pot: SymplecticPotential, points) -> np.ndarray:
     time: the first failing row raises OutsideDomain or NotPositiveDefinite,
     and a point outside fails at its own row, the stencil's centre.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(points, pot.n)
     steps = sampling.interior_distance(pot.polytope, pts) / FD_STEP_FRACTION
     group = max(1, _CHUNK // ((FD_LEVELS + 1) * (1 + 2 * pot.n**2)))   # rows of a group fill a chunk
     values = [_fd_rows(pot, pts[i : i + group], steps[i : i + group]) for i in range(0, len(pts), group)]
@@ -163,7 +164,7 @@ def affine_fit(points, values) -> AffineFit:
 
     Raises DegenerateSampleSet when the points do not affinely span.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(points)
     vals = np.asarray(values, dtype=float)
     n = pts.shape[1]
     rank = 0
@@ -189,18 +190,27 @@ def affine_fit(points, values) -> AffineFit:
     )
 
 
-def _affinity_fit(points, values, n: int | None = None) -> AffineFit:
-    """`affine_fit`, refusing the n + 1 samples or fewer that its n + 1
-    coefficients fit whatever their values (DegenerateSampleSet).  n is the
-    polytope's dimension when given, else the points'; points without
-    coordinates have none to name, and are refused."""
-    count, n = len(values), n or np.shape(np.atleast_2d(points))[1]
+def _affinity_fit(points, values, tol: float | None, n: int | None = None, name: str = "s") -> tuple[AffineFit, float]:
+    """`affine_fit` of samples of `name`, and the tolerance its residual is held to:
+    tol (positive and finite, else ValueError), by default AFFINITY_RTOL times the
+    larger of the values' spread and mean magnitude, of degree 1 in the values as
+    the residual is, and 0 on exact zeros.  OutOfFloatRange for values not all
+    finite; DegenerateSampleSet for points without coordinates or n + 1 samples or
+    fewer, which n + 1 coefficients fit whatever their values (n: the polytope's
+    dimension when given, else the points')."""
+    _tolerance(tol)
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise OutOfFloatRange(f"{name} is not finite at every sample")
+    pts = _points(points, n)
+    count, n = len(values), pts.shape[1]
     if not n:
         raise DegenerateSampleSet("sample points without coordinates: an affinity test in dimension n needs n + 2")
     if count <= n + 1:
         raise DegenerateSampleSet(
             f"{count} sample points fit any values in dimension {n}: an affinity test needs {n + 2}")
-    return affine_fit(points, values)
+    default = AFFINITY_RTOL * max(float(values.max() - values.min()), abs(float(values.mean())))
+    return affine_fit(pts, values), default if tol is None else tol
 
 
 def extremality_check(pot: SymplecticPotential, grid: int = 20) -> tuple[bool, AffineFit]:
@@ -210,22 +220,9 @@ def extremality_check(pot: SymplecticPotential, grid: int = 20) -> tuple[bool, A
 
 
 def extremality_from_samples(points, values, tol: float | None = None) -> tuple[bool, AffineFit]:
-    """Test affinity of sampled curvature values.
-
-    The default tolerance is scale aware: 1e-6 times the larger of 1,
-    the sample range, and the mean magnitude of s.  A tol given must be
-    positive and finite (ValueError); values that are not all finite
-    decide nothing (OutOfFloatRange); n + 1 samples or fewer refute
-    nothing (DegenerateSampleSet).
-    """
-    _tolerance(tol)
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise OutOfFloatRange("s is not finite at every sample")
-    fit = _affinity_fit(points, values)
-    if tol is None:
-        spread = float(values.max() - values.min())
-        tol = AFFINITY_RTOL * max(1.0, spread, abs(float(values.mean())))
+    """Test affinity of sampled curvature values; by default the tolerance follows
+    the data, so no size of the polytope decides (errors: `_affinity_fit`)."""
+    fit, tol = _affinity_fit(points, values, tol)
     return fit.max_residual <= tol, fit
 
 
@@ -259,8 +256,7 @@ def fd_cross_validate(pot: SymplecticPotential, points) -> FDCrossValidation:
     Relative error uses max(1, |s|) in the denominator so near-zero
     curvatures do not blow the quotient up.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    s_fd = scalar_curvatures_fd(pot, pts)
-    s_an = scalar_curvatures(pot, pts)
+    s_fd = scalar_curvatures_fd(pot, points)
+    s_an = scalar_curvatures(pot, points)
     worst = float(np.max(np.abs(s_an - s_fd) / np.maximum(1.0, np.abs(s_an)), initial=0.0))
-    return FDCrossValidation(max_rel_err=worst, tolerance=FD_TOL, n_points=len(pts), passed=worst <= FD_TOL)
+    return FDCrossValidation(max_rel_err=worst, tolerance=FD_TOL, n_points=len(s_an), passed=worst <= FD_TOL)

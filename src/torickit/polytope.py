@@ -26,6 +26,7 @@ from .errors import (
     Empty,
     LowerDimensional,
     NotDelzantVertex,
+    OutOfFloatRange,
     ParseError,
     RedundantForm,
     Unbounded,
@@ -216,6 +217,24 @@ def _walk(forms, n):
             tuple(tuple(sorted((index[w], y) for w, y in edges[v].items())) for v in order))
 
 
+def _points(x, n: int | None = None) -> np.ndarray:
+    """x as an (N, n) float array: one point may come as a vector, no points as [].
+    ValueError, naming both lengths, unless every point has n coordinates (by
+    default, as many as the first); OutOfFloatRange, naming the first, for a
+    point with a coordinate that is not finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
+        x = x.reshape(1, -1) if x.size else x.reshape(0, n or 0)
+    n = x.shape[-1] if n is None else n
+    if x.shape[1:] != (n,):
+        got = x.shape[1] if x.ndim == 2 else x.shape[1:]
+        raise ValueError(f"a point of this polytope has {n} coordinates, got {got}")
+    if not np.isfinite(x).all():
+        i = int(np.argmax(~np.isfinite(x).all(axis=1)))
+        raise OutOfFloatRange(f"point {i} has a coordinate that is not finite: {tuple(x[i].tolist())}")
+    return x
+
+
 class DelzantPolytope:
     """Half-space presentation together with its exact vertex record.
 
@@ -276,15 +295,10 @@ class DelzantPolytope:
         except OverflowError:  # so the exact route overflows too, and names it
             return exact.floats([_point(row) for row in self.vertex_rows])
 
-    def lambdas(self, x: np.ndarray) -> np.ndarray:
-        """Float values of every defining form at x (points in rows ok).
-        ValueError, naming both lengths, unless x's last axis has n entries."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.n,):
-            got = x.shape[-1] if x.ndim else "a scalar"
-            raise ValueError(f"a point of this polytope has {self.n} coordinates, got {got}")
+    def lambdas(self, x) -> np.ndarray:
+        """Float values of every defining form at each point of x, as `_points` takes them."""
         # einsum, not x @ U^T: BLAS rounds one row (gemv) and many (gemm) differently
-        return np.einsum("...i,ki->...k", x, self.normals_float) - self.offsets_float
+        return np.einsum("pi,ki->pk", _points(x, self.n), self.normals_float) - self.offsets_float
 
     def vertex_at(self, point) -> VertexData:
         return self.vertices[self._vertex_index(point)]

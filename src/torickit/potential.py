@@ -39,9 +39,9 @@ from math import factorial, inf
 import numpy as np
 
 from . import exact, sampling
-from .errors import DegenerateSampleSet, NotPositiveDefinite, OutsideDomain, ParseError
+from .errors import DegenerateSampleSet, NotPositiveDefinite, OutOfFloatRange, OutsideDomain, ParseError
 from .polynomial import Polynomial, polynomial_from_json
-from .polytope import DelzantPolytope, _orthant, polytope_from_json
+from .polytope import DelzantPolytope, _orthant, _points, polytope_from_json
 
 # Points per batch evaluation.  Every per-point temporary (up to n^4 floats
 # for the fourth derivative) is held for one chunk at a time, so memory stays
@@ -55,10 +55,12 @@ COFACTOR_TOL = 1e-6           # cofactor_growth_check: largest product at the la
 
 
 def _vector(a, n: int) -> np.ndarray:
-    """a as a float vector; ValueError, naming both lengths, unless it has n entries."""
+    """a as a float vector: ValueError, naming both lengths, unless it has n entries; OutOfFloatRange unless finite."""
     a = np.asarray(a, dtype=float)
     if a.shape != (n,):
         raise ValueError(f"a expects {n} components for this polytope, got {a.size if a.ndim == 1 else a.shape}")
+    if not np.isfinite(a).all():
+        raise OutOfFloatRange(f"a has a component that is not finite: {a.tolist()}")
     return a
 
 
@@ -171,10 +173,9 @@ def metric_jet(pot: SymplecticPotential, x) -> MetricJet:
     Positive definiteness is certified by a Cholesky factorisation;
     failure raises NotPositiveDefinite carrying the smallest eigenvalue.
     """
-    x = np.asarray(x, dtype=float)
-    b = _metric_rows(pot, x[None], False)
+    b = _metric_rows(pot, np.asarray(x, dtype=float)[None], False)
     return MetricJet(
-        x=x,
+        x=b.x[0],
         G=b.G[0],
         G_inv=b.G_inv[0],
         det_G=float(b.det_G[0]),
@@ -273,9 +274,7 @@ def metric_jets(pot: SymplecticPotential, points, with_derivatives: bool = False
     Errors are those of calling `metric_jet` point by point: the chunk
     names its first failing row (see `_metric_rows`), with its payload.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim < 2:  # one point, or an empty list of points
-        pts = pts.reshape(1, -1) if pts.size else pts.reshape(0, pot.n)
+    pts = _points(points, pot.n)
     for start in range(0, max(len(pts), 1), _CHUNK):
         yield _metric_rows(pot, pts[start : start + _CHUNK], with_derivatives)
 
@@ -297,8 +296,8 @@ class DetFactorizationReport:
 def det_factorization_check(pot: SymplecticPotential, points) -> DetFactorizationReport:
     """Sample delta and require it positive, max / min at most DELTA_MAX_RATIO
     (no points: DegenerateSampleSet)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not pts.size:
+    pts = _points(points, pot.n)
+    if not len(pts):
         raise DegenerateSampleSet("no sample points to check delta at")
     deltas = np.concatenate([1.0 / (b.det_G * np.prod(b.lam, axis=1)) for b in metric_jets(pot, pts)])
     lo, hi = float(deltas.min()), float(deltas.max())

@@ -54,9 +54,9 @@ def inradius(p: DelzantPolytope) -> float:
 
 
 def interior_distance(p: DelzantPolytope, x) -> np.ndarray | float:
-    """Euclidean distance from x to the nearest bounding hyperplane."""
-    lam = p.lambdas(x) / p.normal_lengths
-    return lam.min(axis=-1)
+    """Euclidean distance from the point x, or each point of x, to the nearest bounding hyperplane."""
+    d = (p.lambdas(x) / p.normal_lengths).min(axis=1)
+    return d[0] if np.ndim(x) == 1 and np.size(x) else d
 
 
 def interior_grid(p: DelzantPolytope, per_axis: int, margin: float | None = None) -> np.ndarray:

@@ -338,30 +338,21 @@ def einstein_verdict_from_samples(
     Inconclusive.  DegenerateSampleSet for n + 1 samples or fewer, which
     leave the fit no residual; OutOfFloatRange when q, the fit's vertex
     values or the zero bound is not finite.  `tol` bounds both the affinity
-    residual (step 1) and the vertex values (step 2); by default each
-    follows the data (below).  A tol given must be positive and finite
-    (ValueError).
+    residual (step 1) and the vertex values (step 2); by default it follows
+    the data (`curvature._affinity_fit`), so no scale of a decides.
+    A tol given must be positive and finite (ValueError).
     """
-    _tolerance(tol)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise OutOfFloatRange("q is not finite at every sample")
-    fit = _affinity_fit(pts, vals, polytope.n)
-    low, high = float(vals.min()), float(vals.max())
-    spread, scale = high - low, abs(max(high, -low))    # scale = max |q|
-    # the affinity floor keeps exactly-constant data from tripping on lstsq noise
-    affinity_tol = max(1e-6 * spread, 1e-12 * max(1.0, scale)) if tol is None else tol
-    vertex_tol = 1e-6 * max(1.0, spread) if tol is None else tol
+    fit, tol = _affinity_fit(points, values, tol, polytope.n, "q")
+    scale = float(np.abs(values).max())    # max |q|
 
-    affine_ok = fit.max_residual <= affinity_tol
+    affine_ok = fit.max_residual <= tol
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
         vertex_values = polytope.vertex_floats @ fit.gradient + fit.constant
     vertex_worst = float(np.max(np.abs(vertex_values)))
-    vertex_ok = vertex_worst <= vertex_tol
+    vertex_ok = vertex_worst <= tol
 
-    zero_bound = polytope.n * vertex_tol * (1.0 + hypot(fit.constant, *fit.gradient))
+    zero_bound = polytope.n * tol * (1.0 + hypot(fit.constant, *fit.gradient))
     if not (np.all(np.isfinite(vertex_values)) and isfinite(zero_bound)):
         raise OutOfFloatRange("the fit of q has vertex values or a zero bound that are not finite")
     zero_ok = scale <= zero_bound
@@ -374,8 +365,8 @@ def einstein_verdict_from_samples(
         conclusion = Conclusion.INCONCLUSIVE
 
     certificates = {
-        "affinity": {"max_residual": fit.max_residual, "tolerance": affinity_tol, "passed": bool(affine_ok)},
-        "vertex_vanishing": {"max_abs_value": vertex_worst, "tolerance": vertex_tol, "passed": vertex_ok},
+        "affinity": {"max_residual": fit.max_residual, "tolerance": tol, "passed": bool(affine_ok)},
+        "vertex_vanishing": {"max_abs_value": vertex_worst, "tolerance": tol, "passed": vertex_ok},
         "affine_span": {"rank": int(polytope.n), "required": int(polytope.n), "passed": True},
         "zero_function": {"max_abs_q": scale, "bound": zero_bound, "passed": bool(zero_ok)},
     }

@@ -39,6 +39,14 @@ def lattice_maps(draw, n):
 
 
 @st.composite
+def catalog_images(draw):
+    """A catalog entry or its image under a `lattice_maps` draw."""
+    name, params = draw(st.sampled_from(CATALOG_DEFAULTS))
+    p = catalog(name, *params)
+    return draw(lattice_maps(p.n)).apply_polytope(p) if draw(st.booleans()) else p
+
+
+@st.composite
 def halfspace_systems(draw):
     """(forms, n): n in 1..4, n to n+4 forms with primitive normals of
     entries in [-2, 2] and small rational offsets.  Half of the systems

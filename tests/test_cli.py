@@ -190,6 +190,17 @@ class TestCurvature:
         assert doc["is_extremal"] is False
         assert doc["affine_fit"]["max_residual"] > 1e-2
 
+    def test_a_large_polytope_is_no_proof(self, capsys, tmp_path):
+        # s scales as 1/t on tP: an absolute floor on the tolerance once passed
+        # hirzebruch(1) times 10^7, residual 2.2e-7, as extremal
+        doc = catalog("hirzebruch", 1).to_json()
+        for form in doc["forms"]:
+            form["b"] = str(F(form["b"]) * 10**7)
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        rc, out, _ = run(capsys, "curvature", "--input", str(path))
+        assert (rc, json.loads(out)["is_extremal"]) == (1, False)
+
     @pytest.mark.parametrize("name, margin, n", [("simplex(1)", "1e-300", 1), ("simplex(2)", "0.2", 2)])
     def test_n_plus_one_samples_are_refused(self, capsys, name, margin, n):
         # 3-point grids keep n + 1 points here, which fit any s exactly: these
@@ -420,6 +431,14 @@ class TestVerify:
         doc = json.loads(out)
         assert rc == 4
         assert doc["conclusion"] == "Inconclusive"
+
+    def test_a_small_vector_is_no_proof(self, capsys):
+        # q scales as |a|^2: an absolute floor on the tolerance once passed
+        # this affinity residual of 2.7e-13 and read Einstein
+        rc, out, _ = run(capsys, "verify", "--catalog", "hirzebruch(1)", "-a", "1e-6", "0")
+        doc = json.loads(out)
+        assert (rc, doc["conclusion"]) == (3, "HypothesisFails")
+        assert doc["certificates"]["affinity"]["max_residual"] > doc["certificates"]["affinity"]["tolerance"]
 
     def test_vector_is_required(self, capsys):
         rc, _, err = run(capsys, "verify", "--catalog", "cube(2)")

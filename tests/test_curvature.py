@@ -9,12 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torickit import (
     CATALOG_DEFAULTS,
     AffineFit,
+    AffineForm,
+    BadMargin,
+    DelzantPolytope,
     DegenerateSampleSet,
     NotPositiveDefinite,
     OutOfFloatRange,
@@ -39,7 +42,7 @@ from torickit import sampling
 from torickit.curvature import FDCrossValidation
 
 import oracles
-from strategies import lattice_maps
+from strategies import catalog_images, lattice_maps
 
 F = Fraction
 
@@ -363,6 +366,24 @@ def test_extremality_refuses_a_bad_tolerance(value):
     values = scalar_curvatures(pot, pts)
     with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {value}$"):
         extremality_from_samples(pts, values, tol=value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(catalog_images(), st.integers(-6, 6), st.fractions(1, 10, max_denominator=12))
+# s on tP is s on P over t: at t = 10^7 the residuals of hirzebruch(1) and
+# blowup_cp2(1..3), 2e-7 and less, once passed an absolute floor of 1e-6
+@example(p=catalog("hirzebruch", 1), k=6, f=F(10))
+@example(p=catalog("blowup_cp2", 3), k=6, f=F(10))
+def test_extremality_does_not_depend_on_the_size_of_p(p, k, f):
+    t = F(10) ** k * f      # rational, in [1e-6, 1e7]
+
+    def extremal(p):        # a sheared image's grid may keep too few points, at any size
+        try:
+            return extremality_check(SymplecticPotential.guillemin(p))[0]
+        except (BadMargin, DegenerateSampleSet) as e:
+            return type(e)
+
+    assert extremal(DelzantPolytope.from_forms([AffineForm(g.u, g.b * t) for g in p.forms], p.n)) is extremal(p)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

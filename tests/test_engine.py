@@ -1,32 +1,37 @@
 """The batched metric-and-curvature engine: the batch and the one-point
 API against an entry-by-entry reference jet, an exact rational oracle,
 error payloads, chunked memory, G^{-1} built on first read, q = a^T G^{-1} a
-from the Cholesky factor, and two property tests: every one-point call
-is its row of a batch to the last bit, and unimodular covariance."""
+from the Cholesky factor, and three property tests: every one-point call
+is its row of a batch to the last bit, unimodular covariance, and every
+public float entry answers or refuses points and vectors it cannot take."""
 
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torickit import (
     CATALOG_DEFAULTS,
     DegenerateSampleSet,
     NotPositiveDefinite,
+    OutOfFloatRange,
     OutsideDomain,
     Polynomial,
     SymplecticPotential,
     UnimodularMap,
+    affine_fit,
     catalog,
     det_factorization_check,
     extremality_check,
     fano_normalize,
+    fd_cross_validate,
     interior_grid,
     metric_jet,
     metric_jets,
+    polytope_integral,
     random_interior_points,
     scalar_curvature,
     scalar_curvature_fd,
@@ -239,6 +244,92 @@ def test_empty_point_list():
         assert scalar_curvatures(pot, points).shape == (0,)
         with pytest.raises(DegenerateSampleSet):
             soliton_identity_residual(pot, np.array([0.1, 0.2]), points)
+
+
+def _fit(pot, fp, x, a):
+    count = len(x) if np.ndim(x) == 2 else min(np.size(x), 1)      # a vector is one point
+    fit = affine_fit(x, np.arange(float(count)))
+    return [fit.constant, *fit.gradient, fit.max_residual]
+
+
+# Every public float entry, as (name, call(pot, fp, points, a)); fp is the Fano model.
+FLOAT_ENTRIES = {
+    "metric_jets": lambda pot, fp, x, a: np.concatenate([b.G for b in metric_jets(pot, x)]),
+    "scalar_curvatures": lambda pot, fp, x, a: scalar_curvatures(pot, x),
+    "scalar_curvatures_fd": lambda pot, fp, x, a: scalar_curvatures_fd(pot, x),
+    "det_factorization_check": lambda pot, fp, x, a: det_factorization_check(pot, x).deltas,
+    "soliton_identity_residual": lambda pot, fp, x, a: soliton_identity_residual(pot, a, x),
+    "fd_cross_validate": lambda pot, fp, x, a: fd_cross_validate(pot, x).max_rel_err,
+    "interior_distance": lambda pot, fp, x, a: sampling.interior_distance(pot.polytope, x),
+    "affine_fit": _fit,
+    "polytope_integral": lambda pot, fp, x, a: polytope_integral(fp, a, "xx"),
+}
+# The documented errors: DegenerateSampleSet where no point leaves nothing to
+# answer, and affine_fit, whose points have no polytope, for any set that does not span.
+NO_ROWS = {"det_factorization_check", "soliton_identity_residual", "affine_fit"}
+
+
+@st.composite
+def input_cases(draw):
+    """A catalog potential, 0-6 interior points and a in [-1, 1]^n, and at
+    most one defect: a coordinate or a component NaN or infinite, no rows,
+    one point as a vector, or points or a of the wrong length."""
+    name, params = draw(st.sampled_from(CATALOG_DEFAULTS))
+    p = catalog(name, *params)
+    weights = np.array(draw(st.lists(st.lists(st.floats(0.05, 1.0), min_size=len(p.vertices),
+                                              max_size=len(p.vertices)), min_size=0, max_size=6)))
+    x = weights @ p.vertex_floats / weights.sum(axis=1, keepdims=True) if len(weights) else np.empty((0, p.n))
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p.n, max_size=p.n)))
+    bad = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    defect = draw(st.sampled_from(["none", "point", "a", "no rows", "vector", "wrong length", "a wrong length"]))
+    if defect == "point":
+        assume(len(x))
+        x[draw(st.integers(0, len(x) - 1)), draw(st.integers(0, p.n - 1))] = draw(bad)
+    elif defect == "a":
+        a[draw(st.integers(0, p.n - 1))] = draw(bad)
+    elif defect == "no rows":
+        x = draw(st.sampled_from([[], np.empty((0, p.n))]))
+    elif defect == "vector":
+        x = x[0] if len(x) else p.vertex_floats.mean(axis=0)
+    elif defect == "wrong length":
+        x = np.hstack([x, x[:, :1]]) if draw(st.booleans()) else x[:, :-1]
+        if draw(st.booleans()):     # one point as a vector
+            assume(np.size(x))
+            x = x[0]
+    elif defect == "a wrong length":
+        a = np.append(a, 0.5) if draw(st.booleans()) else a[:-1]
+    return name, params, x, a, defect
+
+
+@settings(max_examples=60, deadline=None)
+@given(input_cases())
+# these once returned NaN, raised a length error for no points, or ended in numpy's LinAlgError
+@example(case=("cube", (2,), np.array([[np.nan, 0.5]]), np.zeros(2), "point"))
+@example(case=("cube", (2,), np.array([[np.inf, 0.5]]), np.zeros(2), "point"))
+@example(case=("cube", (2,), [], np.zeros(2), "no rows"))
+@example(case=("cube", (2,), np.array([[0.3, 0.5]] * 5), np.array([np.nan, 0.0]), "a"))
+def test_every_float_entry_answers_or_refuses(case):
+    name, params, x, a, defect = case
+    pot = SymplecticPotential.guillemin(catalog(name, *params))
+    fp = fano_normalize(pot.polytope)
+    a_error = {"a": OutOfFloatRange, "a wrong length": ValueError}.get(defect)
+    x_error = {"point": OutOfFloatRange, "wrong length": ValueError}.get(defect)
+    for entry, call in FLOAT_ENTRIES.items():
+        if entry == "polytope_integral" or (entry == "soliton_identity_residual" and a_error):
+            want = a_error     # a is checked before the points
+        elif entry == "affine_fit":
+            want = OutOfFloatRange if defect == "point" else DegenerateSampleSet     # or an answer
+        else:
+            want = x_error or (DegenerateSampleSet if entry in NO_ROWS and not np.size(x) else None)
+        try:
+            got = call(pot, fp, x, a)
+        except (ValueError, OutOfFloatRange, DegenerateSampleSet) as e:
+            assert type(e) is want, (entry, defect, e)
+        else:
+            assert want is None or (entry == "affine_fit" and want is DegenerateSampleSet), (entry, defect, got)
+            assert np.all(np.isfinite(np.asarray(got, dtype=float))), (entry, defect, got)
+    if not np.size(x) and x_error is None:     # the two routes agree
+        assert scalar_curvatures(pot, x).shape == scalar_curvatures_fd(pot, x).shape == (0,)
 
 
 def test_identity_residual_memory_is_flat():

@@ -17,7 +17,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import OCTAHEDRAL_PRISM, OCTAHEDRON, SQUARE_PYRAMID, halfspace_systems, lattice_maps, polytopes
+from strategies import (OCTAHEDRAL_PRISM, OCTAHEDRON, SQUARE_PYRAMID, catalog_images, halfspace_systems, lattice_maps,
+                        polytopes)
 import torickit.curvature
 import torickit.potential
 import torickit.sampling
@@ -846,6 +847,26 @@ def test_a_verdict_refuses_a_bad_tolerance(monkeypatch, value):
     pts = interior_grid(pot.polytope, 6)
     with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {value}$"):
         einstein_verdict_from_samples(pot.polytope, pts, np.zeros(len(pts)), tol=value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(catalog_images(), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.floats(-9.0, 3.0).map(10.0.__pow__))
+# q = a^T G^{-1} a is of degree 2 in a: at t = 1e-6 its residual, 2.7e-13,
+# once passed an absolute floor of 1e-12 and read Einstein
+@example(p=catalog("hirzebruch", 1), a=[1.0, 0.0, 0.0, 0.0], t=1e-6)
+@example(p=catalog("cube", 3), a=[0.0, 0.0, 1.0, 0.0], t=1e-9)
+def test_the_verdict_does_not_depend_on_the_size_of_a(p, a, t):
+    a = np.array(a[: p.n])
+    assume(np.max(np.abs(a)) >= 0.1)
+    pot = SymplecticPotential.guillemin(p)
+
+    def conclusion(a):      # a sheared image's grid may keep too few points, at any a
+        try:
+            return verify_einstein(pot, a).conclusion
+        except DegenerateSampleSet as e:
+            return type(e)
+
+    assert conclusion(t * a) is conclusion(a)
 
 
 @pytest.mark.parametrize("value", BAD_TOLERANCES)
