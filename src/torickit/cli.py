@@ -194,9 +194,7 @@ def cmd_verify(args) -> int:
             raise ParseError(
                 f"-a expects {pot.n} components for this polytope, got {len(args.a)}"
             )
-        a = np.array(args.a, dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise ParseError(f"-a components must be finite, got {args.a}")
+        a = args.a
     else:
         raise ParseError("one of -a or --from-soliton is required")
     verdict = verify_einstein(pot, a, grid=args.grid, margin=args.margin, tol=args.tol)

@@ -162,10 +162,17 @@ class AffineFit:
 def affine_fit(points, values) -> AffineFit:
     """Fit c0 + <c, x> by least squares; exact for affine data.
 
-    Raises DegenerateSampleSet when the points do not affinely span.
+    Raises ValueError, naming both counts, unless there is one value per
+    point; OutOfFloatRange for a value that is not finite; and
+    DegenerateSampleSet when the points do not affinely span.
     """
     pts = _points(points)
     vals = np.asarray(values, dtype=float)
+    if vals.shape != (len(pts),):
+        raise ValueError(f"affine_fit takes one value per point: {len(pts)} points, got "
+                         f"{vals.size if vals.ndim == 1 else vals.shape} values")
+    if not np.isfinite(vals).all():
+        raise OutOfFloatRange("a value to fit is not finite")
     n = pts.shape[1]
     rank = 0
     if len(pts) > n:    # fewer points cannot span (and an empty set has no mean)
@@ -190,14 +197,19 @@ def affine_fit(points, values) -> AffineFit:
     )
 
 
+def _scale(values: np.ndarray) -> float:
+    """The larger of the values' spread and mean magnitude: of degree 1 in
+    the values, and 0 on exact zeros or on no values."""
+    return max(float(values.max() - values.min()), abs(float(values.mean()))) if len(values) else 0.0
+
+
 def _affinity_fit(points, values, tol: float | None, n: int | None = None, name: str = "s") -> tuple[AffineFit, float]:
     """`affine_fit` of samples of `name`, and the tolerance its residual is held to:
     tol (positive and finite, else ValueError), by default AFFINITY_RTOL times the
-    larger of the values' spread and mean magnitude, of degree 1 in the values as
-    the residual is, and 0 on exact zeros.  OutOfFloatRange for values not all
-    finite; DegenerateSampleSet for points without coordinates or n + 1 samples or
-    fewer, which n + 1 coefficients fit whatever their values (n: the polytope's
-    dimension when given, else the points')."""
+    values' `_scale`, of degree 1 in the values as the residual is.  OutOfFloatRange
+    for values not all finite; DegenerateSampleSet for points without coordinates or
+    n + 1 samples or fewer, which n + 1 coefficients fit whatever their values (n: the
+    polytope's dimension when given, else the points')."""
     _tolerance(tol)
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
@@ -209,8 +221,7 @@ def _affinity_fit(points, values, tol: float | None, n: int | None = None, name:
     if count <= n + 1:
         raise DegenerateSampleSet(
             f"{count} sample points fit any values in dimension {n}: an affinity test needs {n + 2}")
-    default = AFFINITY_RTOL * max(float(values.max() - values.min()), abs(float(values.mean())))
-    return affine_fit(pts, values), default if tol is None else tol
+    return affine_fit(pts, values), AFFINITY_RTOL * _scale(values) if tol is None else tol
 
 
 def extremality_check(pot: SymplecticPotential, grid: int = 20) -> tuple[bool, AffineFit]:
@@ -253,10 +264,11 @@ class FDCrossValidation:
 def fd_cross_validate(pot: SymplecticPotential, points) -> FDCrossValidation:
     """Compare analytic and finite-difference curvature pointwise, within FD_TOL.
 
-    Relative error uses max(1, |s|) in the denominator so near-zero
-    curvatures do not blow the quotient up.
+    The error is max |s - s_fd| over the sample relative to the `_scale` of
+    s there, so no size of the polytope decides; on a scale of 0 (no
+    points, or s = 0 throughout) it is max |s - s_fd| itself.
     """
     s_fd = scalar_curvatures_fd(pot, points)
     s_an = scalar_curvatures(pot, points)
-    worst = float(np.max(np.abs(s_an - s_fd) / np.maximum(1.0, np.abs(s_an)), initial=0.0))
+    worst = float(np.max(np.abs(s_an - s_fd), initial=0.0)) / (_scale(s_an) or 1.0)
     return FDCrossValidation(max_rel_err=worst, tolerance=FD_TOL, n_points=len(s_an), passed=worst <= FD_TOL)

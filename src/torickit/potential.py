@@ -341,7 +341,7 @@ def vertex_vanishing_probe(pot: SymplecticPotential, vertex, ray, ts) -> Vanishi
     ts = _ladder(ts)
     norms = np.array([np.max(np.abs(metric_jet(pot, x).G_inv)) for x in sampling.ray_points(vertex, ray, ts)])
     slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0])
-    decreasing = bool(np.all(np.diff(norms) <= norms[:-1] * 1e-9 + 1e-300))
+    decreasing = bool(np.all(np.diff(norms) <= norms[:-1] * 1e-9))
     passed = decreasing and norms[-1] <= PROBE_TOL and slope >= PROBE_MIN_SLOPE
     return VanishingProbe(
         ts=ts, norms=norms, slope=slope, tolerance=PROBE_TOL, passed=passed

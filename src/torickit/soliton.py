@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, factorial, hypot, inf, isfinite, lcm, log2, prod, sqrt
+from math import ceil, factorial, inf, isfinite, lcm, log2, prod, sqrt
 from operator import mul
 
 import numpy as np
@@ -332,8 +332,8 @@ def einstein_verdict_from_samples(
     Steps: (1) affine fit of q; failure of affinity means the metric
     cannot satisfy the soliton hypothesis (HypothesisFails).  (2) the
     fitted affine function must vanish at every vertex.  (3) the
-    vertices affinely span, as every DelzantPolytope's do.  (4) q itself
-    must be as small as the zero affine function predicts.  Steps 2 and 4
+    vertices affinely span, as every DelzantPolytope's do.  (4) max |q|
+    is at most n * tol, as the zero affine function predicts.  Steps 2 and 4
     cannot fail for genuine metric data, so their failure yields
     Inconclusive.  DegenerateSampleSet for n + 1 samples or fewer, which
     leave the fit no residual; OutOfFloatRange when q, the fit's vertex
@@ -352,7 +352,7 @@ def einstein_verdict_from_samples(
     vertex_worst = float(np.max(np.abs(vertex_values)))
     vertex_ok = vertex_worst <= tol
 
-    zero_bound = polytope.n * tol * (1.0 + hypot(fit.constant, *fit.gradient))
+    zero_bound = polytope.n * tol
     if not (np.all(np.isfinite(vertex_values)) and isfinite(zero_bound)):
         raise OutOfFloatRange("the fit of q has vertex values or a zero bound that are not finite")
     zero_ok = scale <= zero_bound

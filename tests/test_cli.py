@@ -445,13 +445,21 @@ class TestVerify:
         assert rc == 2
         assert "required" in err
 
-    # 1e80 makes the zero bound overflow, 1e160 q itself
-    @pytest.mark.parametrize("value", ["nan", "inf", "1e80", "1e160"])
+    # 1e160 makes q itself overflow
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e160"])
     def test_non_finite_vector(self, capsys, value):
         rc, out, err = run(capsys, "verify", "--catalog", "simplex(2)", "-a", value, "0")
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and "finite" in err
+
+    def test_a_large_finite_vector_is_decided(self, capsys):
+        # q ~ 1e160 is finite: a zero bound that grew as |a|^4 once overflowed
+        # here and exited 2, where -a 1e70 0 read HypothesisFails
+        rc, out, err = run(capsys, "verify", "--catalog", "simplex(2)", "-a", "1e80", "0")
+        doc = json.loads(out)
+        assert (rc, err, doc["conclusion"]) == (3, "", "HypothesisFails")
+        assert np.isfinite(doc["certificates"]["zero_function"]["bound"])
 
     @pytest.mark.parametrize("name", ["hirzebruch(1)", "blowup_cp2(2)"])
     def test_soliton_output_passes_back_to_verify(self, capsys, name):
@@ -730,7 +738,7 @@ def _not_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-# -a components: 1e80 overflows the zero bound and 1e160 q itself
+# -a components: 1e80 gives a finite q of about 1e160, 1e160 overflows q itself
 VECTORS = st.lists(st.sampled_from(["0", "-2.5", "1e80", "1e160", "-1e-3"]), min_size=1, max_size=3)
 
 

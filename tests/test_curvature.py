@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torickit import (
@@ -24,6 +24,7 @@ from torickit import (
     OutsideDomain,
     Polynomial,
     SymplecticPotential,
+    UnimodularMap,
     affine_fit,
     catalog,
     extremality_check,
@@ -39,7 +40,7 @@ from torickit import (
     soliton_identity_residual,
 )
 from torickit import sampling
-from torickit.curvature import FDCrossValidation
+from torickit.curvature import FD_TOL, FDCrossValidation
 
 import oracles
 from strategies import catalog_images, lattice_maps
@@ -256,6 +257,21 @@ class TestAffineFit:
         with pytest.raises(DegenerateSampleSet):
             affine_fit(np.ones((count, 2)), np.zeros(count))
 
+    def test_one_value_per_point(self):
+        # 3 values for 6 points once ended in numpy's LinAlgError
+        pts = random_interior_points(catalog("cube", 2), 6, margin=0.1, rng=1)
+        with pytest.raises(ValueError, match=r"^affine_fit takes one value per point: 6 points, got 3 values$"):
+            affine_fit(pts, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_values_that_are_not_finite(self, bad):
+        # one NaN once returned a fit of NaNs
+        pts = random_interior_points(catalog("cube", 2), 6, margin=0.1, rng=1)
+        values = np.zeros(6)
+        values[2] = bad
+        with pytest.raises(OutOfFloatRange, match="^a value to fit is not finite$"):
+            affine_fit(pts, values)
+
     @pytest.mark.parametrize("offset", [1e20, 1e100, 1e150])
     def test_samples_far_from_the_origin(self, offset):
         # coordinates this large once hid the column of ones from the rank test
@@ -368,6 +384,10 @@ def test_extremality_refuses_a_bad_tolerance(value):
         extremality_from_samples(pts, values, tol=value)
 
 
+def scaled(p, t):
+    return DelzantPolytope.from_forms([AffineForm(g.u, g.b * t) for g in p.forms], p.n)
+
+
 @settings(max_examples=25, deadline=None)
 @given(catalog_images(), st.integers(-6, 6), st.fractions(1, 10, max_denominator=12))
 # s on tP is s on P over t: at t = 10^7 the residuals of hirzebruch(1) and
@@ -383,7 +403,25 @@ def test_extremality_does_not_depend_on_the_size_of_p(p, k, f):
         except (BadMargin, DegenerateSampleSet) as e:
             return type(e)
 
-    assert extremal(DelzantPolytope.from_forms([AffineForm(g.u, g.b * t) for g in p.forms], p.n)) is extremal(p)
+    assert extremal(scaled(p, t)) is extremal(p)
+
+
+SHEARED_F1 = UnimodularMap(((-5, 12), (-8, 19)), (F(1, 3), F(-2, 5))).apply_polytope(catalog("hirzebruch", 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(catalog_images(), st.integers(-6, 8))
+# FD misses s on this image by about 5 times the scale of s at every size; at
+# t = 10^7, where |s| < 1e-6, a floor of 1 under the error once read 3e-6 and passed
+@example(p=SHEARED_F1, k=-6)
+@example(p=SHEARED_F1, k=7)
+@example(p=SHEARED_F1, k=8)
+def test_fd_cross_validation_does_not_depend_on_the_size_of_p(p, k):
+    t = F(10) ** k
+    pts = random_interior_points(p, 40, margin=0.3 * sampling.inradius(p), rng=0)
+    rep = fd_cross_validate(SymplecticPotential.guillemin(p), pts)
+    assume(not FD_TOL / 10 <= rep.max_rel_err <= 10 * FD_TOL)     # rounding may tip a borderline draw
+    assert fd_cross_validate(SymplecticPotential.guillemin(scaled(p, t)), float(t) * pts).passed is rep.passed
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
